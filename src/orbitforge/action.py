@@ -12,10 +12,11 @@ Three backends share one engine:
     point's index is sum(code(v_i) * f^(i-1)) over blocks.
 
 Orbit enumeration turns each generator into a permutation array of the
-point set and runs an ascending-seed breadth-first sweep, so reports are
-canonical: orbits sorted by (length, representative), lengths ascending.
-Stabilizer orders come from |G| / |orbit|, never from explicit stabilizer
-computation.
+point set and labels every point with the least index in its orbit by
+min-label hooking and pointer jumping over those arrays, so reports are
+canonical: each orbit is represented by its minimum, orbits are sorted by
+(length, representative), lengths ascending.  Stabilizer orders come from
+|G| / |orbit|, never from explicit stabilizer computation.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ import numpy as np
 from . import config
 from .arith import prime_factors
 from .errors import (
+    ConstructionFailed,
     ElementCapExceeded,
     NotInGqn,
     PointCapExceeded,
@@ -67,15 +69,7 @@ class SemilinearAction:
         return 0 if w == ZERO else w + 1
 
     def perm_array(self, g) -> np.ndarray:
-        t, e = g
-        m = self.ctx.order
-        out = np.empty(self.point_count, dtype=np.int64)
-        out[0] = 0
-        if m > 1:
-            out[1:] = (np.arange(m, dtype=np.int64) * self.ctx.pow_q[t] + e) % m + 1
-        elif m == 1:
-            out[1] = 1
-        return out
+        return _code_table(self.ctx, g)
 
     def matrix_dim(self) -> int:
         return self.ctx.degree
@@ -215,36 +209,17 @@ class WreathAction:
             w *= f
         return out
 
-    def component_table(self, comp) -> np.ndarray:
-        """Action of an inner map on block codes 0..f-1 as a lookup array."""
-        t, e = comp
-        f = self.inner.size
-        m = self.inner.order
-        out = np.empty(f, dtype=np.int64)
-        out[0] = 0
-        if m > 1:
-            out[1:] = (np.arange(m, dtype=np.int64) * self.inner.pow_q[t] + e) % m + 1
-        elif m == 1:
-            out[1] = 1
-        return out
-
     def perm_array(self, g) -> np.ndarray:
+        # index = sum(code_j * f^j): an (f, ..., f) grid in C order whose axis
+        # m-1-j is block j; block j's image lands in block perm[j]
         comps, perm = g
-        f = self.inner.size
-        idx = np.arange(self.point_count, dtype=np.int64)
-        codes = np.empty((self.m, self.point_count), dtype=np.int64)
-        rest = idx
-        for i in range(self.m):
-            codes[i] = rest % f
-            rest = rest // f
-        pinv = inverse_perm(perm)
-        out = np.zeros(self.point_count, dtype=np.int64)
-        w = 1
-        for i in range(self.m):
-            j = pinv[i]
-            out += self.component_table(comps[j])[codes[j]] * w
-            w *= f
-        return out
+        f, m = self.inner.size, self.m
+        out = np.zeros((f,) * m, dtype=np.int64)
+        for j in range(m):
+            shape = [1] * m
+            shape[m - 1 - j] = f
+            out += (_code_table(self.inner, comps[j]) * f ** perm[j]).reshape(shape)
+        return out.reshape(-1)
 
     def matrix_dim(self) -> int:
         return self.m * self.inner.degree
@@ -272,6 +247,19 @@ class WreathAction:
             v = ZERO if block == 0 else block - 1
             out.extend(field_ops.coordinates(self.inner, v))
         return tuple(out)
+
+
+def _code_table(ctx: FieldContext, g) -> np.ndarray:
+    """The map (t, e): v -> g^e * v^(q^t) on point codes as a lookup array.
+
+    Code 0 is the zero vector, which stays put, and code x+1 is g^x, which
+    goes to g^(x*q^t + e).
+    """
+    t, e = g
+    m = ctx.order
+    out = np.zeros(ctx.size, dtype=np.int64)
+    out[1:] = (np.arange(m, dtype=np.int64) * ctx.pow_q[t] + e) % m + 1
+    return out
 
 
 def _semilinear_matrix(ctx: FieldContext, g) -> tuple[int, ...]:
@@ -447,67 +435,73 @@ class OrbitReport:
 
 
 def enumerate_orbits(instance: ActionInstance, workers: int = 1) -> OrbitReport:
-    """Breadth-first orbit sweep over ascending seed indices.
+    """Orbits of the instance, each represented by its least point index.
 
-    The report is independent of the worker count: generator permutation
-    arrays may be built concurrently, but seeds are claimed in ascending
-    order and the final orbit list is canonically sorted either way.
+    workers has no effect; it is accepted so callers that pass a worker
+    count keep working, and the report is the same for every value.
     """
+    del workers
     n_points = instance.point_count
     cap = config.point_cap()
     if n_points > cap:
         raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
     order = instance.group_order
 
-    gens = list(instance.generators)
-    if workers > 1 and len(gens) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            perms = list(pool.map(instance.backend.perm_array, gens))
-    else:
-        perms = [instance.backend.perm_array(g) for g in gens]
-    ident = np.arange(n_points, dtype=np.int64)
-    perms = [p for p in perms if not np.array_equal(p, ident)]
-
-    orbits = []
-    if not perms:
-        orbits = [(1, seed) for seed in range(n_points)]
-    else:
-        visited = np.zeros(n_points, dtype=bool)
-        seed = 0
-        while seed < n_points:
-            if visited[seed]:
-                jump = int(np.argmax(~visited[seed:]))
-                if visited[seed + jump]:
-                    break
-                seed += jump
-            visited[seed] = True
-            frontier = np.array([seed], dtype=np.int64)
-            size = 1
-            while frontier.size:
-                images = np.unique(np.concatenate([p[frontier] for p in perms]))
-                frontier = images[~visited[images]]
-                visited[frontier] = True
-                size += int(frontier.size)
-            orbits.append((size, seed))
-            seed += 1
-
-    orbits.sort()
-    full = []
-    for length, rep in orbits:
-        assert order % length == 0, f"orbit length {length} does not divide group order {order}"
-        full.append((length, rep, order // length))
-    lengths = tuple(sorted(ln for ln, _, _ in full))
-    regular = any(st == 1 for _, _, st in full)
-    p_reg = {p: any(st % p != 0 for _, _, st in full) for p in prime_factors(order)}
+    labels, _ = _orbit_labels(instance)
+    reps = np.flatnonzero(labels == np.arange(n_points))
+    sizes = np.bincount(labels)[reps]
+    by_length = np.argsort(sizes, kind="stable")  # reps ascend, so ties stay sorted
+    lengths = tuple(sizes[by_length].tolist())
+    stab = {}
+    for length in sorted(set(lengths)):
+        if order % length:
+            raise ConstructionFailed(
+                f"orbit length {length} does not divide group order {order}")
+        stab[length] = order // length
+    full = tuple((ln, rep, stab[ln]) for ln, rep in zip(lengths, reps[by_length].tolist()))
+    regular = 1 in stab.values()
+    p_reg = {p: any(st % p != 0 for st in stab.values()) for p in prime_factors(order)}
     return OrbitReport(
         group_order=order,
         point_count=n_points,
-        orbits=tuple(full),
+        orbits=full,
         orbit_lengths=lengths,
         regular_exists=regular,
         p_regular=p_reg,
     )
+
+
+def _orbit_labels(instance: ActionInstance) -> tuple[np.ndarray, int]:
+    """Least point index of every point's orbit, and the rounds it took.
+
+    Orbits are the connected components of the graph joining x to g(x) for
+    each generator g.  A round takes the generator arrays and their inverses
+    in turn, and for each one jumps pointers and hooks labels along it
+    (FastSV: Shiloach-Vishkin 1982, Zhang-Azad-Hu 2020); then it shortcuts.
+    Pointer jumping keeps the round count near the log of the point count
+    (7 on one 65535-cycle), where plain label propagation needs rounds in
+    proportion to the orbit diameter.  A label only ever drops to another
+    label of the same orbit, so once no generator moves a label, every point
+    carries its orbit's minimum.
+    """
+    ident = np.arange(instance.point_count, dtype=np.int64)
+    perms = [instance.backend.perm_array(g) for g in instance.generators]
+    edges = list(perms)
+    for perm in perms:
+        inv = np.empty_like(perm)
+        inv[perm] = ident
+        edges.append(inv)
+    label = ident.copy()
+    rounds = 0
+    while True:
+        rounds += 1
+        for edge in edges:
+            reached = label[label][edge]
+            np.minimum.at(label, label, reached)   # hook x's parent under it
+            np.minimum(label, reached, out=label)  # and x itself
+        np.minimum(label, label[label], out=label)  # shortcut
+        if all(np.array_equal(label[perm], label) for perm in perms):
+            return label, rounds
 
 
 def has_p_regular_orbit(report: OrbitReport, p: int) -> bool:
@@ -547,14 +541,16 @@ def is_faithful(instance: ActionInstance) -> FaithfulnessReport:
     return FaithfulnessReport(faithful=len(kernel) == 1, kernel=kernel)
 
 
-def is_irreducible(instance: ActionInstance) -> bool:
+def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> bool:
     """No proper nonzero GF(p)-subspace is invariant under all generators.
 
     Checked by spinning: the smallest invariant subspace containing each
     nonzero vector must be the whole space.  Since spin(g.v) = g.spin(v),
     one spin per nonzero orbit representative covers every vector, which
-    keeps large mostly-transitive instances cheap.  Wreath instances go
-    through their block-monomial matrix realization.
+    keeps large mostly-transitive instances cheap.  reps, when given, is one
+    point of every orbit (an orbit report's representatives); otherwise the
+    orbits are swept here.  Wreath instances go through their block-monomial
+    matrix realization.
     """
     backend = instance.backend
     if not hasattr(backend, "matrix_of"):
@@ -567,41 +563,16 @@ def is_irreducible(instance: ActionInstance) -> bool:
             for g in instance.generators]
     if not mats:
         mats = [np.eye(dim, dtype=np.int64)]
-    for rep in _orbit_representatives(instance):
+    if reps is None:
+        labels, _ = _orbit_labels(instance)
+        reps = np.flatnonzero(labels == np.arange(instance.point_count)).tolist()
+    for rep in sorted(reps):
         if rep == 0:
             continue  # the zero vector indexes at 0 in every backend
         vec = np.array(backend.point_coordinates(rep), dtype=np.int64)
         if _spin_rank(vec, mats, p, dim) < dim:
             return False
     return True
-
-
-def _orbit_representatives(instance: ActionInstance) -> list[int]:
-    """Minimal index of every orbit, without needing the group order."""
-    n_points = instance.point_count
-    ident = np.arange(n_points, dtype=np.int64)
-    perms = [p for p in (instance.backend.perm_array(g) for g in instance.generators)
-             if not np.array_equal(p, ident)]
-    if not perms:
-        return list(range(n_points))
-    visited = np.zeros(n_points, dtype=bool)
-    reps = []
-    seed = 0
-    while seed < n_points:
-        if visited[seed]:
-            jump = int(np.argmax(~visited[seed:]))
-            if visited[seed + jump]:
-                break
-            seed += jump
-        visited[seed] = True
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            images = np.unique(np.concatenate([p[frontier] for p in perms]))
-            frontier = images[~visited[images]]
-            visited[frontier] = True
-        reps.append(seed)
-        seed += 1
-    return reps
 
 
 def _spin_rank(seed: np.ndarray, mats, p: int, dim: int) -> int:
@@ -685,7 +656,7 @@ class ImplicationReport:
 def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> ImplicationReport:
     report = enumerate_orbits(instance, workers=workers)
     faithful = is_faithful(instance).faithful
-    irreducible = is_irreducible(instance)
+    irreducible = is_irreducible(instance, reps=[rep for _, rep, _ in report.orbits])
     primes = tuple(prime_factors(report.group_order))
     all_p = all(report.p_regular[p] for p in primes)
     return ImplicationReport(

@@ -248,7 +248,9 @@ def wolf_family(p: int, k: int, n: int, m: int, workers: int = 1) -> tuple[Actio
     instance = build_wreath(WreathSpec(ctx, ((0, 1),), m, (cycle,)))
     report = enumerate_orbits(instance, workers=workers)
     order = instance.group_order
-    assert order == (size - 1) ** m * m
+    expected = (size - 1) ** m * m
+    if order != expected:
+        raise ConstructionFailed(f"wreath group has order {order}, expected {expected}")
 
     c_size = (size - 1) ** m
     c_rep = sum(1 * size ** i for i in range(m))  # all-ones vector, minimal in C

@@ -37,3 +37,29 @@ def point_stabilizer(backend, elements, code):
 def all_points(ctx):
     yield ZERO
     yield from ctx.nonzero()
+
+
+def scalar_orbit(instance, seed):
+    """The orbit of seed, walked through backend.act alone."""
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for g in instance.generators:
+            y = instance.backend.act(g, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def orbit_lengths_by_scalar_bfs(instance):
+    """Sorted orbit lengths from a point-by-point sweep through backend.act."""
+    seen = set()
+    lengths = []
+    for seed in range(instance.point_count):
+        if seed not in seen:
+            orbit = scalar_orbit(instance, seed)
+            seen |= orbit
+            lengths.append(len(orbit))
+    return tuple(sorted(lengths))

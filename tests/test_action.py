@@ -9,6 +9,8 @@ from orbitforge import semilinear as sl
 from orbitforge.errors import ElementCapExceeded, NotInGqn, PointCapExceeded
 from orbitforge.field import make_field
 
+from helpers import orbit_lengths_by_scalar_bfs
+
 
 def semilinear_instance(p, k, n, gens):
     return A.ActionInstance(A.SemilinearAction(make_field(p, k, n)), gens)
@@ -145,27 +147,6 @@ def test_backend_equivalence_wreath_with_twists():
     assert rep1.group_order == rep2.group_order
 
 
-def _orbit_lengths_by_scalar_bfs(instance):
-    """Independent oracle: orbit sweep through backend.act alone."""
-    seen = set()
-    lengths = []
-    for seed in range(instance.point_count):
-        if seed in seen:
-            continue
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for g in instance.generators:
-                y = instance.backend.act(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        lengths.append(len(orbit))
-    return tuple(sorted(lengths))
-
-
 def test_orbit_engine_matches_scalar_bfs():
     rng = random.Random(17)
     instances = [
@@ -179,7 +160,7 @@ def test_orbit_engine_matches_scalar_bfs():
     instances.append(A.ActionInstance(backend, [(comps, (2, 0, 1))]))
     for inst in instances:
         report = A.enumerate_orbits(inst)
-        assert report.orbit_lengths == _orbit_lengths_by_scalar_bfs(inst)
+        assert report.orbit_lengths == orbit_lengths_by_scalar_bfs(inst)
 
 
 def test_example1_matrix_realization_same_orbits():

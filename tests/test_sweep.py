@@ -1,0 +1,116 @@
+"""The orbit sweep: round bounds on its weak cases, a property cross-check
+against the scalar oracle, and invariant checks that survive `python -O`."""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from orbitforge import action as A
+from orbitforge.errors import ConstructionFailed
+from orbitforge.field import make_field
+
+from helpers import orbit_lengths_by_scalar_bfs, scalar_orbit
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def round_bound(points):
+    return 2 * math.ceil(math.log2(points)) + 4
+
+
+def test_sweep_rounds_stride_seven_cycle():
+    # one 65535-cycle that moves each point 7 steps: plain label propagation
+    # needs over a hundred rounds here
+    inst = A.ActionInstance(A.SemilinearAction(make_field(2, 1, 16)), [(0, 7)],
+                            known_order=2 ** 16 - 1)
+    labels, rounds = A._orbit_labels(inst)
+    assert rounds <= round_bound(inst.point_count)
+    assert labels[0] == 0 and (labels[1:] == 1).all()
+    assert A.enumerate_orbits(inst).orbits == ((1, 0, 2 ** 16 - 1), (2 ** 16 - 1, 1, 1))
+
+
+def test_sweep_rounds_dihedral_reflections():
+    # <r1, r2> with r1 = swap and r2 = (x, y) -> (a y, x / a): two involutions,
+    # so every orbit is a long path that doubling a generator cannot shorten.
+    # Each hyperbola xy = c (c != 0) is one orbit of p - 1 points, the two
+    # axes form one regular orbit of 2(p - 1) points.
+    p, a = 251, 6  # 6 generates GF(251)*
+    gens = [(0, 1, 1, 0), (0, a, pow(a, -1, p), 0)]
+    inst = A.ActionInstance(A.MatrixAction(p, 2), gens, known_order=2 * (p - 1))
+    _, rounds = A._orbit_labels(inst)
+    assert rounds <= round_bound(inst.point_count)
+    report = A.enumerate_orbits(inst)
+    assert report.orbit_lengths == (1,) + (p - 1,) * (p - 1) + (2 * (p - 1),)
+    assert report.regular_exists
+
+
+SEMILINEAR_FIELDS = [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 2), (5, 1, 2), (7, 1, 1)]
+MATRIX_SHAPES = [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
+WREATH_SHAPES = [((2, 1, 1), 3), ((2, 1, 2), 2), ((2, 1, 2), 3), ((3, 1, 1), 3), ((5, 1, 1), 2)]
+
+
+def semilinear_maps(ctx):
+    return st.tuples(st.integers(0, ctx.n - 1), st.integers(0, max(ctx.order, 1) - 1))
+
+
+@st.composite
+def small_instances(draw):
+    kind = draw(st.sampled_from(["semilinear", "matrix", "wreath"]))
+    count = draw(st.integers(1, 3))
+    if kind == "semilinear":
+        ctx = make_field(*draw(st.sampled_from(SEMILINEAR_FIELDS)))
+        gens = draw(st.lists(semilinear_maps(ctx), min_size=count, max_size=count))
+        return A.ActionInstance(A.SemilinearAction(ctx), gens)
+    if kind == "matrix":
+        p, dim = draw(st.sampled_from(MATRIX_SHAPES))
+        entries = st.tuples(*[st.integers(0, p - 1)] * (dim * dim))
+        mats = entries.filter(lambda g: A.mat_det(g, dim, p) != 0)
+        gens = draw(st.lists(mats, min_size=count, max_size=count))
+        return A.ActionInstance(A.MatrixAction(p, dim), gens)
+    field, m = draw(st.sampled_from(WREATH_SHAPES))
+    ctx = make_field(*field)
+    elements = st.tuples(st.tuples(*[semilinear_maps(ctx)] * m),
+                         st.permutations(range(m)).map(tuple))
+    gens = draw(st.lists(elements, min_size=count, max_size=count))
+    return A.ActionInstance(A.WreathAction(ctx, m), gens)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(small_instances())
+def test_sweep_matches_scalar_oracle(inst):
+    points = range(inst.point_count)
+    for g in inst.generators:
+        assert inst.backend.perm_array(g).tolist() == [inst.backend.act(g, x) for x in points]
+    labels, rounds = A._orbit_labels(inst)
+    assert rounds <= round_bound(inst.point_count)
+    reps = np.flatnonzero(labels == np.arange(inst.point_count)).tolist()
+    assert sorted(np.bincount(labels)[reps].tolist()) == list(orbit_lengths_by_scalar_bfs(inst))
+    for rep in reps:
+        orbit = scalar_orbit(inst, rep)
+        assert min(orbit) == rep
+        assert (labels[sorted(orbit)] == rep).all()
+
+
+def test_orbit_length_check_survives_optimize_flag():
+    # known_order 7 is wrong: the 8 nonzero vectors of GF(9) form one orbit
+    script = (
+        "from orbitforge.action import ActionInstance, SemilinearAction, enumerate_orbits\n"
+        "from orbitforge.errors import ConstructionFailed\n"
+        "from orbitforge.field import make_field\n"
+        "inst = ActionInstance(SemilinearAction(make_field(3, 1, 2)), [(0, 1)], known_order=7)\n"
+        "try:\n"
+        "    enumerate_orbits(inst)\n"
+        "except ConstructionFailed as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ConstructionFailed.__name__
