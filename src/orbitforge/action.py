@@ -267,7 +267,7 @@ def _semilinear_matrix(ctx: FieldContext, g) -> tuple[int, ...]:
     d = ctx.degree
     out = [0] * (d * d)
     for j in range(d):
-        basis_exp = ctx.log_table[ctx.p ** j]
+        basis_exp = ctx.log_table.item(ctx.p ** j)
         img = field_ops.coordinates(ctx, sl.apply_map(ctx, g, basis_exp))
         for i in range(d):
             out[i * d + j] = img[i]

@@ -5,8 +5,9 @@ full field has p^(k*n) elements.  Nonzero elements are represented by their
 discrete logarithm with respect to a fixed primitive element g: the integer
 e in [0, q^n - 2] stands for g^e.  Zero is the sentinel ZERO (-1), matching
 the wire format used in group-spec files.  Multiplication is addition of
-exponents; the packed base-p "vector" form of each element is kept in the
-exp table so coordinates over the prime field stay available.
+exponents.  Coordinates over the prime field come from two read-only int32
+arrays, built in about sqrt(q^n) numpy steps: exp_table[e] is the packed
+base-p form of g^e and log_table inverts it, with log_table[0] = ZERO.
 
 The primitive element is the residue class of x modulo the lexicographically
 smallest primitive polynomial of the right degree (coefficients compared
@@ -14,67 +15,56 @@ low-degree-first), which makes every table, and hence every downstream
 witness, deterministic.
 """
 
+import math
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .arith import is_prime, prime_factors
 from .config import DEFAULT_FIELD_SIZE_CAP
-from .errors import NonPrime, NoPrimitivePolynomial, SizeCapExceeded, SNotDividingN, ZeroInput
+from .errors import (ConstructionFailed, NonPrime, NoPrimitivePolynomial, SizeCapExceeded,
+                     SNotDividingN, ZeroInput)
 
 ZERO = -1
 
 FieldElement = int  # ZERO or an exponent in [0, q^n - 2]
 
 
-# -- polynomial arithmetic over GF(p), coefficient lists low-degree-first --
+# -- int64 matrices over GF(p): entries stay below p, so sums stay below d*p^2 < 2^63 --
 
-def _poly_mulmod(a, b, f, p):
+def _companion(f, p):
+    """Matrix of multiplication by x on GF(p)[x]/(f) in the basis 1, x, ..."""
     d = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by the monic polynomial f
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(d):
-                res[i - d + j] = (res[i - d + j] - c * f[j]) % p
-    del res[d:]
-    return res
+    c = np.zeros((d, d), dtype=np.int64)
+    c[np.arange(1, d), np.arange(d - 1)] = 1
+    c[:, d - 1] = [-a % p for a in f[:d]]
+    return c
 
 
-def _poly_powmod(a, e, f, p):
-    result = [1]
-    base = list(a)
+def _mat_pow(m, e, p):
+    result = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, f, p)
+            result = result @ m % p
         e >>= 1
         if e:
-            base = _poly_mulmod(base, base, f, p)
+            m = m @ m % p
     return result
-
-
-def _is_one(poly):
-    return len(poly) >= 1 and poly[0] == 1 and not any(poly[1:])
 
 
 def _x_is_primitive(f, p, group_order, order_primes):
     """Does the class of x generate the full multiplicative group mod f?
 
+    x^e = 1 mod f exactly when C^e = I for the companion matrix C of f.
     True forces f irreducible: the unit group of GF(p)[x]/(f) has order
     strictly below p^deg(f) - 1 unless f is irreducible.
     """
-    x = [0, 1]
-    if not _is_one(_poly_powmod(x, group_order, f, p)):
-        return False
-    for r in order_primes:
-        if _is_one(_poly_powmod(x, group_order // r, f, p)):
-            return False
-    return True
+    c = _companion(f, p)
+    one = np.eye(len(c), dtype=np.int64)
+    return (np.array_equal(_mat_pow(c, group_order, p), one)
+            and not any(np.array_equal(_mat_pow(c, group_order // r, p), one)
+                        for r in order_primes))
 
 
 def smallest_primitive_polynomial(p: int, degree: int) -> tuple[int, ...]:
@@ -86,27 +76,19 @@ def smallest_primitive_polynomial(p: int, degree: int) -> tuple[int, ...]:
     order_primes = prime_factors(group_order)
     # the constant term of a primitive polynomial is (-1)^degree times the
     # norm of a primitive element, which is itself a primitive root of GF(p)
-    roots_mod_p = _primitive_roots(p)
     sign = 1 if degree % 2 == 0 else -1
-    for tail in product(range(p), repeat=degree):
-        if (sign * tail[0]) % p not in roots_mod_p:
+    root_checks = [(p - 1) // r for r in prime_factors(p - 1)]
+    for c0 in range(1, p):
+        if any(pow(sign * c0, c, p) == 1 for c in root_checks):
             continue
-        f = list(tail) + [1]
-        if degree > 1:
+        for rest in product(range(p), repeat=degree - 1):
+            f = (c0,) + rest + (1,)
             # cheap filter: no roots in GF(p)
-            if any(_poly_eval(f, a, p) == 0 for a in range(p)):
+            if degree > 1 and any(_poly_eval(f, a, p) == 0 for a in range(p)):
                 continue
-        if _x_is_primitive(f, p, group_order, order_primes):
-            return tuple(f)
+            if _x_is_primitive(f, p, group_order, order_primes):
+                return f
     raise NoPrimitivePolynomial(f"no primitive polynomial of degree {degree} over GF({p})")
-
-
-def _primitive_roots(p: int) -> frozenset[int]:
-    if p == 2:
-        return frozenset({1})
-    checks = [(p - 1) // r for r in prime_factors(p - 1)]
-    return frozenset(a for a in range(1, p)
-                     if all(pow(a, c, p) != 1 for c in checks))
 
 
 def _poly_eval(f, a, p):
@@ -118,45 +100,63 @@ def _poly_eval(f, a, p):
 
 @lru_cache(maxsize=None)
 def _field_tables(p: int, degree: int):
-    """(poly, exp, log): exp[e] is the packed base-p form of g^e."""
+    """(poly, exp, log): exp[e] is the packed base-p form of g^e, log its inverse.
+
+    Lane j holds the width ~ sqrt(order) powers from g^(j*width) on.  The
+    starts come from doubling with C^width, C the companion matrix of poly,
+    and then all lanes are multiplied by x together.
+    """
     poly = smallest_primitive_polynomial(p, degree)
     size = p ** degree
     order = size - 1
-    exp = [0] * order
-    log = [ZERO] * size
-    cur = 1
+    width = math.isqrt(order - 1) + 1
+    lanes = -(-order // width)
+    starts = np.zeros((lanes, degree), dtype=np.int64)  # coordinate rows
+    starts[0, 0] = 1
+    jump = _mat_pow(_companion(poly, p), width, p).T
+    done = 1
+    while done < lanes:
+        count = min(done, lanes - done)
+        starts[done:done + count] = starts[:count] @ jump % p
+        jump = jump @ jump % p
+        done += count
+    cur = starts @ p ** np.arange(degree, dtype=np.int64)
+    block = np.empty((lanes, width), dtype=np.int32)
     if p == 2:
         # digits are bits: multiply by x = shift, reduce = xor with f
         poly_packed = sum(c << i for i, c in enumerate(poly))
-        top = 1 << degree
-        for e in range(order):
-            exp[e] = cur
-            log[cur] = e
+        for i in range(width):
+            block[:, i] = cur
             cur <<= 1
-            if cur & top:
-                cur ^= poly_packed
+            cur ^= (cur >> degree) * poly_packed
     else:
         # packed base-p digits never carry across positions under mod-p ops
         pd1 = p ** (degree - 1)
         nz = [(poly[i], p ** i) for i in range(degree) if poly[i]]
-        for e in range(order):
-            exp[e] = cur
-            log[cur] = e
-            lead, cur = divmod(cur, pd1)
+        for i in range(width):
+            block[:, i] = cur
+            lead, cur = np.divmod(cur, pd1)
             cur *= p
-            if lead:
-                for ci, wi in nz:
-                    digit = (cur // wi) % p
-                    cur += (((digit - lead * ci) % p) - digit) * wi
-    assert cur == 1, "primitive element order mismatch"
-    return poly, tuple(exp), tuple(log)
+            for ci, wi in nz:
+                digit = cur // wi % p
+                cur += ((digit - lead * ci) % p - digit) * wi
+    block.flags.writeable = False
+    exp = block.reshape(-1)[:order]
+    log = np.full(size, ZERO, dtype=np.int32)
+    log[exp] = np.arange(order, dtype=np.int32)
+    # g has order q^n - 1 exactly when its powers hit every nonzero element once
+    if log[0] != ZERO or log[1:].min() == ZERO:
+        raise ConstructionFailed(f"x is not primitive modulo {poly} over GF({p})")
+    log.flags.writeable = False
+    return poly, exp, log
 
 
 class FieldContext:
     """Immutable handle on GF(q^n), q = p^k, with exp/log tables.
 
-    Safe to share across workers; every operation in this module is a pure
-    function of (context, inputs).
+    exp_table and log_table are read-only int32 ndarrays (see the module
+    docstring), so the context is safe to share across workers; every
+    operation in this module is a pure function of (context, inputs).
     """
 
     __slots__ = ("p", "k", "n", "q", "degree", "size", "order", "poly",
@@ -209,8 +209,9 @@ def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -
         raise NonPrime(f"p must be prime, got {p}")
     if k < 1 or n < 1:
         raise ValueError(f"k and n must be positive, got k={k}, n={n}")
-    if p ** (k * n) > size_cap:
-        raise SizeCapExceeded(f"{p}^{k * n} exceeds the size cap {size_cap}")
+    cap = min(size_cap, 2 ** 31 - 1)  # int32 tables cannot index a larger field
+    if p ** (k * n) > cap:
+        raise SizeCapExceeded(f"{p}^{k * n} exceeds the size cap {cap}")
     return _make_field_cached(p, k, n)
 
 
@@ -252,7 +253,7 @@ def add(ctx: FieldContext, x: FieldElement, y: FieldElement) -> FieldElement:
     if y == ZERO:
         return x
     p = ctx.p
-    vx, vy = ctx.exp_table[x], ctx.exp_table[y]
+    vx, vy = ctx.exp_table.item(x), ctx.exp_table.item(y)
     packed = 0
     w = 1
     while vx or vy:
@@ -260,7 +261,7 @@ def add(ctx: FieldContext, x: FieldElement, y: FieldElement) -> FieldElement:
         vx //= p
         vy //= p
         w *= p
-    return ctx.log_table[packed]
+    return ctx.log_table.item(packed)
 
 
 def sub(ctx: FieldContext, x: FieldElement, y: FieldElement) -> FieldElement:
@@ -278,12 +279,12 @@ def from_integer(ctx: FieldContext, packed: int) -> FieldElement:
     """Element from its packed base-p coordinate form (0 -> ZERO)."""
     if not 0 <= packed < ctx.size:
         raise ValueError(f"packed value {packed} out of range for {ctx!r}")
-    return ZERO if packed == 0 else ctx.log_table[packed]
+    return ZERO if packed == 0 else ctx.log_table.item(packed)
 
 
 def to_integer(ctx: FieldContext, x: FieldElement) -> int:
     """Packed base-p coordinate form (ZERO -> 0)."""
-    return 0 if x == ZERO else ctx.exp_table[x]
+    return 0 if x == ZERO else ctx.exp_table.item(x)
 
 
 def coordinates(ctx: FieldContext, x: FieldElement) -> tuple[int, ...]:
@@ -299,7 +300,8 @@ def coordinates(ctx: FieldContext, x: FieldElement) -> tuple[int, ...]:
 
 def subfield_step(ctx: FieldContext, j: int) -> int:
     """Exponent step of GF(q^j)^x inside GF(q^n)^x; requires j | n."""
-    assert ctx.n % j == 0
+    if ctx.n % j:
+        raise SNotDividingN(f"j = {j} must divide n = {ctx.n}")
     return ctx.order // (ctx.q ** j - 1) if ctx.order > 1 else 1
 
 
@@ -321,7 +323,8 @@ def norm_map(ctx: FieldContext, s: int, y: FieldElement) -> FieldElement:
     v = sum(ctx.pow_q[(ctx.n // s) * j % ctx.n] for j in range(s)) if ctx.order > 1 else 0
     # v = 1 + q^(n/s) + ... + q^((n/s)(s-1)) reduced mod q^n - 1
     result = (y * v) % ctx.order if ctx.order > 1 else 0
-    assert frobenius(ctx, result, ctx.n // s) == result
+    if frobenius(ctx, result, ctx.n // s) != result:
+        raise ConstructionFailed(f"norm of {y} is not fixed by the Frobenius of GF(q^(n/s))")
     return result
 
 

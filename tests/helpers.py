@@ -1,9 +1,13 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately naive: products over Galois orbits, full
-point scans for stabilizers, closure-based orders.  The library must agree
-with these, never the other way around.
+point scans for stabilizers, closure-based orders, one loop step per field
+element.  The library must agree with these, never the other way around.
 """
+
+import os
+import subprocess
+import sys
 
 from orbitforge import field as F
 from orbitforge import semilinear as sl
@@ -18,6 +22,49 @@ def norm_by_product(ctx, s, y):
         acc = F.mul(ctx, acc, cur)
         cur = F.frobenius(ctx, cur, ctx.n // s)
     return acc
+
+
+def field_tables_by_scalar_loop(poly, p):
+    """(exp, log) tuples for GF(p)[x]/(poly), walking the powers of x one by one."""
+    degree = len(poly) - 1
+    size = p ** degree
+    order = size - 1
+    exp = [0] * order
+    log = [ZERO] * size
+    cur = 1
+    if p == 2:
+        # digits are bits: multiply by x = shift, reduce = xor with f
+        poly_packed = sum(c << i for i, c in enumerate(poly))
+        top = 1 << degree
+        for e in range(order):
+            exp[e] = cur
+            log[cur] = e
+            cur <<= 1
+            if cur & top:
+                cur ^= poly_packed
+    else:
+        # packed base-p digits never carry across positions under mod-p ops
+        pd1 = p ** (degree - 1)
+        nz = [(poly[i], p ** i) for i in range(degree) if poly[i]]
+        for e in range(order):
+            exp[e] = cur
+            log[cur] = e
+            lead, cur = divmod(cur, pd1)
+            cur *= p
+            if lead:
+                for ci, wi in nz:
+                    digit = (cur // wi) % p
+                    cur += (((digit - lead * ci) % p) - digit) * wi
+    assert cur == 1, "primitive element order mismatch"
+    return tuple(exp), tuple(log)
+
+
+def run_with_src(args):
+    """Run the interpreter on args, importing orbitforge from src/."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def brute_force_has_regular_orbit(ctx, elems) -> bool:

@@ -1,11 +1,17 @@
+import json
+
+import numpy as np
 import pytest
 
+from orbitforge import action as A
 from orbitforge import field as F
-from orbitforge.arith import prime_factors
-from orbitforge.errors import NonPrime, SizeCapExceeded, SNotDividingN, ZeroInput
+from orbitforge.arith import is_prime, prime_factors
+from orbitforge.errors import (ConstructionFailed, NonPrime, SizeCapExceeded, SNotDividingN,
+                               ZeroInput)
 from orbitforge.field import ZERO, make_field
+from orbitforge.specfile import instance_from_spec, instance_to_spec
 
-from helpers import norm_by_product
+from helpers import field_tables_by_scalar_loop, norm_by_product, run_with_src
 
 
 def test_make_field_smallest():
@@ -210,3 +216,86 @@ def test_coordinates_shape():
     assert F.coordinates(ctx, ZERO) == (0, 0, 0, 0)
     one = F.coordinates(ctx, 0)
     assert one == (1, 0, 0, 0)
+
+
+# every p^d <= 2^12 with p <= 61 (degree 1 and GF(2), of order 1, included),
+# then three fields whose order is not a multiple of the lane width
+SCALAR_LOOP_FIELDS = [(p, d) for p in range(2, 62) if is_prime(p)
+                      for d in range(1, 13) if p ** d <= 2 ** 12] + [(2, 16), (3, 10), (257, 2)]
+
+
+def test_tables_match_scalar_loop():
+    for p, d in SCALAR_LOOP_FIELDS:
+        poly, exp, log = F._field_tables(p, d)
+        want_exp, want_log = field_tables_by_scalar_loop(poly, p)
+        assert exp.tolist() == list(want_exp), (p, d)
+        assert log.tolist() == list(want_log), (p, d)
+
+
+def test_pinned_primitive_polynomials():
+    assert F.smallest_primitive_polynomial(2, 20) == (1,) + (0,) * 16 + (1, 0, 0, 1)
+    assert F.smallest_primitive_polynomial(2, 22) == (1,) + (0,) * 20 + (1, 1)
+    assert F.smallest_primitive_polynomial(3, 12) == (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1)
+
+
+def test_tables_are_read_only_int32():
+    ctx = make_field(2, 1, 4)
+    for table in (ctx.exp_table, ctx.log_table):
+        assert table.dtype == np.int32
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_int32_size_limit_ignores_larger_cap(monkeypatch):
+    builds = []
+    monkeypatch.setattr(F, "_field_tables", lambda *args: builds.append(args))
+    with pytest.raises(SizeCapExceeded):
+        make_field(2, 1, 31, size_cap=2 ** 40)
+    assert builds == []
+
+
+def test_element_ops_return_python_ints():
+    for (p, k, n) in [(2, 1, 4), (3, 1, 2), (5, 2, 1)]:
+        ctx = make_field(p, k, n)
+        values = [F.add(ctx, 3, 5), F.sub(ctx, 3, 5), F.from_integer(ctx, 2),
+                  F.to_integer(ctx, 3), *F.coordinates(ctx, 3)]
+        assert all(type(v) is int for v in values)
+
+
+def test_matrix_realization_spec_is_json():
+    inst = A.ActionInstance(A.SemilinearAction(make_field(3, 1, 2)), [(1, 0), (0, 2)])
+    doc = instance_to_spec(A.matrix_realization(inst))
+    assert instance_to_spec(instance_from_spec(json.loads(json.dumps(doc)))) == doc
+
+
+def test_field_checks_survive_optimize_flag():
+    script = (
+        "from orbitforge import field as F\n"
+        "from orbitforge.errors import ConstructionFailed, SNotDividingN\n"
+        "def raised(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (ConstructionFailed, SNotDividingN) as exc:\n"
+        "        return type(exc).__name__\n"
+        "print(raised(lambda: F.subfield_step(F.make_field(2, 1, 4), 3)))\n"
+        "F.frobenius = lambda ctx, x, t=1: x + 1  # a broken Frobenius moves every norm\n"
+        "print(raised(lambda: F.norm_map(F.make_field(3, 1, 4), 2, 1)))\n"
+        "# x^2 + 1 is irreducible over GF(3) but x has order 4, not 8\n"
+        "F.smallest_primitive_polynomial = lambda p, degree: (1, 0, 1)\n"
+        "print(raised(lambda: F.make_field(3, 1, 2)))\n"
+    )
+    proc = run_with_src(["-O", "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [SNotDividingN.__name__] + [ConstructionFailed.__name__] * 2
+
+
+@pytest.mark.parametrize("field", [(4093, 1, 2), (2 ** 24 - 3, 1, 1)])
+def test_memory_bound_at_size_cap(field):
+    # both have about 16.7M elements, just under the default 2^24 size cap
+    script = ("import resource\n"
+              "from orbitforge.field import make_field\n"
+              f"make_field{field}\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = run_with_src(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
