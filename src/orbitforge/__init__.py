@@ -6,6 +6,8 @@ oracles, a three-backend orbit engine, builders for the classic
 counterexample constructions, and a seeded search harness.
 """
 
+__version__ = "0.1.0"
+
 from .field import FieldContext, ZERO, make_field, norm_map
 from .semilinear import (
     CoveringWitness,
@@ -48,5 +50,3 @@ from .constructions import (
 )
 from .permutation import PermGroup, cyclic_group, cyclic_wreath, is_transitive, power_set_regular_orbit
 from .search import SearchConfig, iter_search, run_search
-
-__version__ = "0.1.0"

@@ -16,10 +16,12 @@ point set and labels every point with the least index in its orbit by
 min-label hooking and pointer jumping over those arrays, so reports are
 canonical: each orbit is represented by its minimum, orbits are sorted by
 (length, representative), lengths ascending.  Stabilizer orders come from
-|G| / |orbit|, never from explicit stabilizer computation.
+|G| / |orbit|, never from explicit stabilizer computation, and |G| comes
+from each backend's order(generators), never from listing the group.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -70,6 +72,9 @@ class SemilinearAction:
 
     def perm_array(self, g) -> np.ndarray:
         return _code_table(self.ctx, g)
+
+    def order(self, generators) -> int:
+        return sl.subgroup_order(self.ctx, generators)
 
     def matrix_dim(self) -> int:
         return self.ctx.degree
@@ -139,6 +144,9 @@ class MatrixAction:
         out_coords = (mat @ coords) % p
         weights = np.array([p ** i for i in range(d)], dtype=np.int64)
         return weights @ out_coords
+
+    def order(self, generators) -> int:
+        return chain_order(self, generators)
 
     def matrix_dim(self) -> int:
         return self.dim
@@ -220,6 +228,9 @@ class WreathAction:
             shape[m - 1 - j] = f
             out += (_code_table(self.inner, comps[j]) * f ** perm[j]).reshape(shape)
         return out.reshape(-1)
+
+    def order(self, generators) -> int:
+        return chain_order(self, generators)
 
     def matrix_dim(self) -> int:
         return self.m * self.inner.degree
@@ -347,10 +358,10 @@ def mat_kron(a, b, da: int, db: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- instances and closure --
+# -- instances, closure and order --
 
 def closure(backend, generators, cap: int | None = None) -> tuple:
-    """Full element list of <generators>, canonically sorted."""
+    """Full element list of <generators>, canonically sorted (not for orders)."""
     if cap is None:
         cap = config.element_cap()
     gens = []
@@ -375,8 +386,74 @@ def closure(backend, generators, cap: int | None = None) -> tuple:
     return tuple(sorted(seen))
 
 
+def chain_order(backend, generators) -> int:
+    """|<generators>| by deterministic Schreier-Sims on their GF(p)-matrices.
+
+    Base e_0..e_{d-1} (Sims 1970; Seress 2003, ch. 4): level j keeps strong
+    generators fixing e_0..e_{j-1} and a transversal u of their orbit on e_j,
+    point -> (u, u^-1).  Levels are completed deepest first; a Schreier
+    generator that does not sift to the identity joins the levels it passed.
+    Only the identity fixes every e_j, so |G| is the product of the orbit
+    lengths.  That product only grows and never exceeds |G|, so the cap
+    error comes exactly when |G| > element_cap(), as in closure.
+    """
+    p, d = backend.characteristic, backend.matrix_dim()
+    cap = config.element_cap()
+    ident = np.eye(d, dtype=np.int64)
+    gens = [[] for _ in range(d)]
+    trans = [[(ident, ident)] for _ in range(d)]
+    where = [{ident[:, j].tobytes(): 0} for j in range(d)]  # point -> index in trans[j]
+    tested = [set() for _ in range(d)]
+
+    def sift(g, j):
+        for j in range(j, d):
+            at = where[j].get(g[:, j].tobytes())  # g e_j is column j of g
+            if at is None:
+                return j, g
+            if at:  # entry 0 is the identity
+                g = trans[j][at][1] @ g % p
+        return d, g
+
+    def join(g, lo, hi):
+        g_inv = np.array(mat_inv(g.ravel().tolist(), d, p), dtype=np.int64).reshape(d, d)
+        for j in range(lo, hi + 1):
+            gens[j].append((g, g_inv))
+            rest = prod(len(t) for i, t in enumerate(trans) if i != j)
+            for a, (u, u_inv) in enumerate(trans[j]):  # grows while it is walked
+                for b, (x, x_inv) in enumerate(gens[j]):
+                    key = (x @ u[:, j] % p).tobytes()
+                    if key not in where[j]:
+                        where[j][key] = len(trans[j])
+                        trans[j].append((x @ u % p, u_inv @ x_inv % p))
+                        tested[j].add((a, b))  # its Schreier generator is the identity
+                        if rest * len(trans[j]) > cap:
+                            raise ElementCapExceeded(f"group order exceeds the element cap {cap}")
+
+    for g in generators:
+        join(np.array(backend.matrix_of(g), dtype=np.int64).reshape(d, d), 0, 0)
+    j = d - 1
+    while j >= 0:
+        for a, b in ((a, b) for a in range(len(trans[j])) for b in range(len(gens[j]))
+                     if (a, b) not in tested[j]):
+            tested[j].add((a, b))
+            xu = gens[j][b][0] @ trans[j][a][0] % p
+            h = trans[j][where[j][xu[:, j].tobytes()]][1] @ xu % p
+            stop, residue = sift(h, j + 1)
+            if stop < d:
+                join(residue, j + 1, stop)
+                j = stop
+                break
+        else:
+            j -= 1
+    return prod(len(t) for t in trans)
+
+
 class ActionInstance:
-    """A finitely generated group with one of the three action backends."""
+    """A finitely generated group with one of the three action backends.
+
+    known_order, when given, is trusted as |G|; elements are listed only on
+    access to the elements property, unless passed in.
+    """
 
     def __init__(self, backend, generators, known_order: int | None = None,
                  elements=None, meta: dict | None = None):
@@ -386,6 +463,7 @@ class ActionInstance:
             backend.validate(g)
         self.known_order = known_order
         self._elements = tuple(elements) if elements is not None else None
+        self._order = None
         self.meta = meta or {}
 
     def __repr__(self):
@@ -404,9 +482,13 @@ class ActionInstance:
 
     @property
     def group_order(self) -> int:
+        """|G|, once: known_order, else len(elements) if passed in, else backend.order."""
         if self.known_order is not None:
             return self.known_order
-        return len(self.elements)
+        if self._order is None:
+            self._order = (len(self._elements) if self._elements is not None
+                           else self.backend.order(self.generators))
+        return self._order
 
 
 # -- orbit enumeration --
@@ -676,7 +758,7 @@ def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> Impl
 
 __all__ = [
     "SemilinearAction", "MatrixAction", "WreathAction", "ActionInstance",
-    "closure", "OrbitReport", "enumerate_orbits", "has_p_regular_orbit",
+    "closure", "chain_order", "OrbitReport", "enumerate_orbits", "has_p_regular_orbit",
     "FaithfulnessReport", "is_faithful", "acts_trivially",
     "is_irreducible", "matrix_realization",
     "ImplicationReport", "orbit_implication_report",

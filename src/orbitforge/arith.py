@@ -20,7 +20,8 @@ def is_prime(n: int) -> bool:
 
 def factorization(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: multiplicity}."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cannot factor {n}; need n >= 1")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -44,7 +45,8 @@ def solve_linear_congruence(a: int, b: int, n: int, step: int = 1) -> int | None
     step must divide n; the step constraint restricts x to the subgroup
     of multiples of step in Z_n.
     """
-    assert n >= 1 and step >= 1 and n % step == 0
+    if not (n >= 1 and step >= 1 and n % step == 0):
+        raise ValueError(f"need n >= 1 and step >= 1 dividing n, got n={n}, step={step}")
     if n == 1:
         return 0
     b %= n

@@ -28,7 +28,7 @@ from .errors import (
     OrbitforgeError,
     SchemaError,
 )
-from .field import make_field
+from .field import check_field_args, smallest_primitive_polynomial
 from .permutation import PermGroup, is_transitive, perm_from_one_line, power_set_regular_orbit
 from .search import SearchConfig, run_search
 from .semilinear import regular_orbit_criterion, subgroup_closure
@@ -193,11 +193,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_field_info(args) -> int:
-    ctx = make_field(args.p, args.k, args.n)
+    p, k, n = args.p, args.k, args.n
+    check_field_args(p, k, n)  # no exp/log tables: the summary needs only the polynomial
     print(dumps_canonical({
-        "p": ctx.p, "k": ctx.k, "n": ctx.n, "q": ctx.q,
-        "degree": ctx.degree, "size": ctx.size,
-        "poly": list(ctx.poly),
+        "p": p, "k": k, "n": n, "q": p ** k,
+        "degree": k * n, "size": p ** (k * n),
+        "poly": list(smallest_primitive_polynomial(p, k * n)),
     }))
     return EXIT_OK
 

@@ -78,14 +78,14 @@ def build_wreath(spec: WreathSpec) -> ActionInstance:
     top = PermGroup(spec.m, spec.top_gens)
     if not is_transitive(top):
         raise IntransitiveTop(f"top generators {spec.top_gens} are not transitive on {spec.m} blocks")
-    inner_elements = sl.subgroup_closure(ctx, spec.inner_gens)
-    order = len(inner_elements) ** spec.m * top.order
+    inner_order = sl.subgroup_order(ctx, spec.inner_gens)
+    order = inner_order ** spec.m * top.order
     backend = WreathAction(ctx, spec.m)
     ident = identity_perm(spec.m)
     gens = [(tuple([g] + [sl.IDENTITY] * (spec.m - 1)), ident) for g in spec.inner_gens]
     gens += [(tuple([sl.IDENTITY] * spec.m), tuple(p)) for p in top.generators]
     return ActionInstance(backend, gens, known_order=order,
-                          meta={"wreath_spec": spec, "inner_order": len(inner_elements),
+                          meta={"wreath_spec": spec, "inner_order": inner_order,
                                 "top_order": top.order})
 
 
@@ -340,7 +340,8 @@ def orbit_sign_assignment(instance: ActionInstance) -> SignAssignment:
             continue
         base_signs[rep] = 1
         paired = reps[F.neg(ctx, rep)]
-        assert paired != rep, "an orbit met its own negative; pairing broken"
+        if paired == rep:
+            raise ConstructionFailed("an orbit met its own negative; pairing broken")
         base_signs[paired] = -1
     transports = _block_transports(spec)
     # the chosen representatives are pure top elements, whose inner
@@ -373,7 +374,8 @@ def _block_transports(spec: WreathSpec) -> tuple[tuple[int, ...], ...]:
                     found[target] = nxt
                     new.append(nxt)
         frontier = new
-    assert len(found) == m, "top group is not transitive"
+    if len(found) != m:
+        raise ConstructionFailed("top group is not transitive")
     return tuple(found[i] for i in range(m))
 
 
@@ -425,5 +427,5 @@ def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
         if perm == identity_perm(spec.m):
             continue
         if all(reps[y[perm[j]]] == reps[y[j]] for j in range(spec.m)):
-            raise RuntimeError(f"sign construction failed: {perm} preserves the orbit pattern")
+            raise ConstructionFailed(f"sign construction failed: {perm} preserves the orbit pattern")
     return y

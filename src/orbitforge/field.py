@@ -203,8 +203,8 @@ def _make_field_cached(p: int, k: int, n: int) -> FieldContext:
     return FieldContext(p, k, n, poly, exp, log)
 
 
-def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldContext:
-    """Context for GF(p^(k*n)) with distinguished subfield GF(q), q = p^k."""
+def check_field_args(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> None:
+    """Raise unless make_field(p, k, n, size_cap) may build GF(p^(k*n))."""
     if not isinstance(p, int) or not is_prime(p):
         raise NonPrime(f"p must be prime, got {p}")
     if k < 1 or n < 1:
@@ -212,6 +212,11 @@ def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -
     cap = min(size_cap, 2 ** 31 - 1)  # int32 tables cannot index a larger field
     if p ** (k * n) > cap:
         raise SizeCapExceeded(f"{p}^{k * n} exceeds the size cap {cap}")
+
+
+def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldContext:
+    """Context for GF(p^(k*n)) with distinguished subfield GF(q), q = p^k."""
+    check_field_args(p, k, n, size_cap)
     return _make_field_cached(p, k, n)
 
 
@@ -334,7 +339,7 @@ def _check_s(ctx: FieldContext, s: int) -> None:
 
 
 __all__ = [
-    "ZERO", "FieldElement", "FieldContext", "make_field",
+    "ZERO", "FieldElement", "FieldContext", "make_field", "check_field_args",
     "smallest_primitive_polynomial",
     "mul", "inv", "div", "power", "neg", "add", "sub", "frobenius",
     "from_integer", "to_integer", "coordinates",

@@ -14,6 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 
+from . import __version__ as VERSION
 from . import config as caps
 from .action import (
     ActionInstance,
@@ -29,8 +30,6 @@ from .errors import CapExceeded, IntransitiveTop, SchemaError
 from .field import make_field
 from .semilinear import IDENTITY, compose
 from .specfile import instance_to_spec
-
-VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)

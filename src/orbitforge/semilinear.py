@@ -131,6 +131,29 @@ def subgroup_closure(ctx: FieldContext, generators, cap: int | None = None) -> t
     return tuple(sorted(seen))
 
 
+def subgroup_order(ctx: FieldContext, generators) -> int:
+    """|<generators>| = |T| * |K| without listing the subgroup H.
+
+    Twists map H onto T <= Z_n with a scalar kernel K, cyclic of order
+    m / gcd(m, exponents of its generators), m = q^n - 1.  One element u_t
+    of H per twist t in T; by Schreier's lemma the u_{t(gu)}^-1 g u
+    generate K, over those u and the generators g.
+    """
+    m = max(ctx.order, 1)
+    by_twist = {0: IDENTITY}
+    walk = [IDENTITY]
+    exponents = []
+    for u in walk:  # grows while it is walked
+        for g in generators:
+            gu = compose(ctx, g, u)
+            if gu[0] in by_twist:
+                exponents.append(compose(ctx, inverse(ctx, by_twist[gu[0]]), gu)[1])
+            else:
+                by_twist[gu[0]] = gu
+                walk.append(gu)
+    return len(walk) * (m // gcd(m, *exponents))
+
+
 def _as_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False) -> tuple[SemilinearMap, ...]:
     elems = tuple(sorted({(int(f[0]), int(f[1])) for f in maps}))
     if not elems:
@@ -178,7 +201,8 @@ def norm_one_subgroup(ctx: FieldContext, s: int) -> NormOneSubgroup:
     step = ctx.q ** (ctx.n // s) - 1
     size = ctx.order // step
     elements = tuple(range(0, ctx.order, step))
-    assert len(elements) == size
+    if len(elements) != size:
+        raise ConstructionFailed(f"norm-one subgroup has {len(elements)} elements, expected {size}")
     return NormOneSubgroup(s=s, order=size, generator=step if size > 1 else 0,
                            elements=elements)
 
@@ -224,14 +248,17 @@ def norm_subgroup_prime_analysis(ctx: FieldContext, s: int) -> NormPrimeAnalysis
     entries = []
     for r, mult in sorted(factorization(n_sub.order).items()):
         cong = r >= s and (r == s or r % s == 1)
-        assert cong, f"prime structure violated: r={r}, s={s} over {ctx!r}"
+        if not cong:
+            raise ConstructionFailed(f"prime structure violated: r={r}, s={s} over {ctx!r}")
         if r == s:
             entries.append(PrimeEntry(r, mult, cong, None, None))
             continue
         b = (n_sub.generator * (n_sub.order // r)) % ctx.order
-        assert element_order(ctx, (0, b)) == r
+        if element_order(ctx, (0, b)) != r:
+            raise ConstructionFailed(f"witness g^{b} does not have order {r} over {ctx!r}")
         frob = _frobenius_pair_confirmed(ctx, s, b, r)
-        assert frob, f"Frobenius structure violated for r={r}, s={s} over {ctx!r}"
+        if not frob:
+            raise ConstructionFailed(f"Frobenius structure violated for r={r}, s={s} over {ctx!r}")
         entries.append(PrimeEntry(r, mult, cong, b, frob))
     return NormPrimeAnalysis(s=s, subgroup_order=n_sub.order, factors=tuple(entries))
 
@@ -311,7 +338,8 @@ def standardize_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False)
             work = [conjugate_by_scalar(ctx, z, f) for f in work]
             conj = (conj + z) % ctx.order
             pure = _find_pure(ctx, work, s)
-            assert pure is not None
+            if pure is None:
+                raise ConstructionFailed(f"conjugating by g^{z} left no pure element of order {s}")
         secured[s] = pure
         fixed_deg = gcd(fixed_deg, gcd(pure[0], ctx.n))
     result = tuple(sorted(work))
@@ -337,7 +365,8 @@ def _pure_making_conjugator(ctx: FieldContext, elems, s: int, fixed_deg: int) ->
         # z f z^{-1} pure needs (q^t - 1) * z = e (mod q^n - 1)
         z = solve_linear_congruence(ctx.pow_q[t] - 1, e, ctx.order, step=step)
         if z is not None:
-            assert z % step == 0
+            if z % step:
+                raise ConstructionFailed(f"conjugator g^{z} lies outside GF(q^{fixed_deg})")
             return z
     return None
 
@@ -544,7 +573,7 @@ def gn_subgroup(ctx: FieldContext, s: int) -> tuple[SemilinearMap, ...]:
 __all__ = [
     "SemilinearMap", "IDENTITY", "compose", "inverse", "apply_map",
     "element_order", "conjugate_by_scalar", "scalar_maps", "galois_maps",
-    "full_group", "subgroup_closure", "gn_subgroup",
+    "full_group", "subgroup_closure", "subgroup_order", "gn_subgroup",
     "NormOneSubgroup", "norm_one_subgroup", "norm_kernel_preimage",
     "NormPrimeAnalysis", "PrimeEntry", "norm_subgroup_prime_analysis",
     "Standardization", "standardize_subgroup", "outside_prime_orders",

@@ -142,6 +142,27 @@ def test_field_info_bad_degree(capsys):
     assert code == 2
 
 
+def test_field_info_builds_no_tables(capsys):
+    # GF(4093^2)'s exp/log tables take seconds and ~220 MiB; the summary
+    # needs only the polynomial
+    import time
+
+    from orbitforge import field as F
+    builds = F._field_tables.cache_info().misses
+    start = time.perf_counter()
+    code, out, _ = run_cli(["field-info", "--p", "4093", "--n", "2"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == ('{"p":4093,"k":1,"n":2,"q":4093,"degree":2,"size":16752649,'
+                   '"poly":[2,1,1]}\n')
+    assert F._field_tables.cache_info().misses == builds
+
+
+def test_field_info_size_cap(capsys):
+    code, out, err = run_cli(["field-info", "--p", "2", "--k", "1", "--n", "40"], capsys)
+    assert code == 3 and out == "" and "size cap" in err
+
+
 def test_gluck(tmp_path, capsys):
     spec = {"degree": 3, "generators": [[2, 3, 1]]}
     code, out, _ = run_cli(["gluck", write(tmp_path, "p.json", spec)], capsys)

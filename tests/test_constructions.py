@@ -258,3 +258,27 @@ def test_base_group_regular_implication_odd_odd():
 def test_partition_reexported():
     from orbitforge.permutation import cyclic_group
     assert C.trivial_stabilizer_partition(cyclic_group(3)) == ((1,), (2, 3))
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # one converted check per module, each tripped under python -O
+    from helpers import run_with_src
+    script = (
+        "from orbitforge import arith, constructions, semilinear\n"
+        "from orbitforge.errors import ConstructionFailed\n"
+        "from orbitforge.field import make_field\n"
+        "def trip(call, error):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "trip(lambda: arith.factorization(0), ValueError)\n"
+        "semilinear._frobenius_pair_confirmed = lambda *args: False\n"
+        "trip(lambda: semilinear.norm_subgroup_prime_analysis(make_field(2, 1, 2), 2),\n"
+        "     ConstructionFailed)\n"
+        "spec = constructions.WreathSpec(make_field(2, 1, 2), (), 3, ((0, 1, 2),))\n"
+        "trip(lambda: constructions._block_transports(spec), ConstructionFailed)\n"
+    )
+    proc = run_with_src(["-O", "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ConstructionFailed", "ConstructionFailed"]

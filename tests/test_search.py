@@ -144,3 +144,28 @@ def test_counterexample_replay(tmp_path):
         assert list(replay.orbit_lengths) == rec["orbit_lengths"]
         assert replay.group_order == rec["group_order"]
         assert replay.regular_exists == rec["regular"]
+
+
+def test_one_version_literal(tmp_path):
+    # pyproject.toml and search records take the version from __version__
+    tomllib = pytest.importorskip("tomllib")
+    import os
+
+    import orbitforge
+    from orbitforge import search
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "orbitforge.__version__"}
+    assert orbitforge.__version__ == search.VERSION == "0.1.0"
+    cfg = SearchConfig.from_dict({
+        "samples": 1, "seed": 5, "odd_characteristic": False, "include_examples": True,
+        "templates": [{"kind": "wreath", "field": {"p": 2, "k": 1, "n": 2}, "m": 5}],
+    })
+    out = tmp_path / "hits.jsonl"
+    run_search(cfg, out_path=str(out), stream=io.StringIO(), log=io.StringIO())
+    versions = {json.loads(line)["run"]["version"] for line in out.read_text().splitlines()}
+    assert versions == {"0.1.0"}
