@@ -524,12 +524,8 @@ def enumerate_orbits(instance: ActionInstance, workers: int = 1) -> OrbitReport:
     """
     del workers
     n_points = instance.point_count
-    cap = config.point_cap()
-    if n_points > cap:
-        raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
+    labels, _ = _orbit_labels(instance)  # checks the point cap before |G| is computed
     order = instance.group_order
-
-    labels, _ = _orbit_labels(instance)
     reps = np.flatnonzero(labels == np.arange(n_points))
     sizes = np.bincount(labels)[reps]
     by_length = np.argsort(sizes, kind="stable")  # reps ascend, so ties stay sorted
@@ -564,9 +560,14 @@ def _orbit_labels(instance: ActionInstance) -> tuple[np.ndarray, int]:
     (7 on one 65535-cycle), where plain label propagation needs rounds in
     proportion to the orbit diameter.  A label only ever drops to another
     label of the same orbit, so once no generator moves a label, every point
-    carries its orbit's minimum.
+    carries its orbit's minimum.  Raises PointCapExceeded before building
+    any array when the point count is over config.point_cap().
     """
-    ident = np.arange(instance.point_count, dtype=np.int64)
+    n_points = instance.point_count
+    cap = config.point_cap()
+    if n_points > cap:
+        raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
+    ident = np.arange(n_points, dtype=np.int64)
     perms = [instance.backend.perm_array(g) for g in instance.generators]
     edges = list(perms)
     for perm in perms:
@@ -736,7 +737,10 @@ class ImplicationReport:
 
 
 def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> ImplicationReport:
-    report = enumerate_orbits(instance, workers=workers)
+    """The report of one orbit sweep: irreducibility spins the sweep's orbit
+    representatives, so the points are swept once.  workers has no effect."""
+    del workers
+    report = enumerate_orbits(instance)
     faithful = is_faithful(instance).faithful
     irreducible = is_irreducible(instance, reps=[rep for _, rep, _ in report.orbits])
     primes = tuple(prime_factors(report.group_order))

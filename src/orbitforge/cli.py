@@ -18,7 +18,13 @@ import argparse
 import json
 import sys
 
-from .action import SemilinearAction, enumerate_orbits, is_faithful, is_irreducible
+from .action import (
+    SemilinearAction,
+    enumerate_orbits,
+    is_faithful,
+    is_irreducible,
+    orbit_implication_report,
+)
 from .constructions import build_example1, build_example2, wolf_family
 from .errors import (
     CapExceeded,
@@ -64,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_orbits = sub.add_parser("orbits", help="orbit report for a group-spec file")
     p_orbits.add_argument("spec")
-    p_orbits.add_argument("--workers", type=int, default=1)
+    p_orbits.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     p_orbits.set_defaults(func=cmd_orbits)
 
     p_verify = sub.add_parser("verify", help="re-check a named construction")
@@ -78,13 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prop2 = sub.add_parser("prop2", help="regular-orbit criterion with oracle cross-check")
     p_prop2.add_argument("spec")
-    p_prop2.add_argument("--workers", type=int, default=1)
+    p_prop2.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     p_prop2.set_defaults(func=cmd_prop2)
 
     p_search = sub.add_parser("search", help="randomized counterexample search")
     p_search.add_argument("config")
     p_search.add_argument("--out", default="results.jsonl")
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     p_search.set_defaults(func=cmd_search)
 
     p_field = sub.add_parser("field-info", help="field context summary")
@@ -101,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_orbits(args) -> int:
     instance = load_spec_path(args.spec)
-    report = enumerate_orbits(instance, workers=args.workers)
+    report = enumerate_orbits(instance)
     print(dumps_canonical(report.to_json_dict()))
     return EXIT_OK
 
@@ -112,9 +118,8 @@ def cmd_prop2(args) -> int:
         raise SchemaError("prop2 needs a semilinear group spec")
     ctx = instance.backend.ctx
     subgroup = subgroup_closure(ctx, instance.generators)
-    decision = regular_orbit_criterion(ctx, subgroup, assume_subgroup=True,
-                                       workers=args.workers)
-    oracle = enumerate_orbits(instance, workers=args.workers)
+    decision = regular_orbit_criterion(ctx, subgroup, assume_subgroup=True)
+    oracle = enumerate_orbits(instance)
     agrees = oracle.regular_exists == decision.has_regular_orbit
     out = decision.to_json_dict()
     out["oracle_agrees"] = agrees
@@ -122,25 +127,21 @@ def cmd_prop2(args) -> int:
     return EXIT_OK if agrees else EXIT_FAIL
 
 
-def verify_claims(name: str, p=None, k=1, n=1, m=None, workers: int = 1) -> list[tuple[str, bool]]:
+def verify_claims(name: str, p=None, k=1, n=1, m=None) -> list[tuple[str, bool]]:
     """(claim, passed) pairs for a named construction."""
     if name == "example1":
-        instance = build_example1()
-        report = enumerate_orbits(instance, workers=workers)
+        report = orbit_implication_report(build_example1())
         return [
-            ("acts faithfully and irreducibly",
-             is_faithful(instance).faithful and is_irreducible(instance)),
+            ("acts faithfully and irreducibly", report.faithful and report.irreducible),
             ("has a 3-regular orbit and a 5-regular orbit",
              report.p_regular.get(3, False) and report.p_regular.get(5, False)),
             ("has no regular orbit", not report.regular_exists),
         ]
     if name == "example2":
-        instance = build_example2()
-        report = enumerate_orbits(instance, workers=workers)
+        report = orbit_implication_report(build_example2())
         return [
             ("group order is 1152 = 2^7 * 3^2", report.group_order == 1152),
-            ("acts faithfully and irreducibly",
-             is_faithful(instance).faithful and is_irreducible(instance)),
+            ("acts faithfully and irreducibly", report.faithful and report.irreducible),
             ("has a 2-regular orbit and a 3-regular orbit",
              report.p_regular.get(2, False) and report.p_regular.get(3, False)),
             ("has no regular orbit", not report.regular_exists),
@@ -149,7 +150,7 @@ def verify_claims(name: str, p=None, k=1, n=1, m=None, workers: int = 1) -> list
         if p is None or m is None:
             raise SchemaError("wolf needs --p and --m (and usually --k/--n)")
         try:
-            instance, record = wolf_family(p, k, n, m, workers=workers)
+            instance, record = wolf_family(p, k, n, m)
         except (DegenerateField, GcdViolation, NonPrime) as exc:
             raise SchemaError(f"bad wolf parameters: {exc}") from exc
         return [
@@ -186,7 +187,7 @@ def cmd_search(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read search config {args.config}: {exc}") from exc
     cfg = SearchConfig.from_dict(doc)
-    summary = run_search(cfg, out_path=args.out, workers=args.workers)
+    summary = run_search(cfg, out_path=args.out)
     print(f"search: {summary['records']} records, "
           f"{summary['counterexamples']} counterexamples", file=sys.stderr)
     return EXIT_OK

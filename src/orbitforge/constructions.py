@@ -235,7 +235,9 @@ def wolf_family(p: int, k: int, n: int, m: int, workers: int = 1) -> tuple[Actio
     p-regular for every prime dividing q^n - 1; the single-support orbit D
     has size m(q^n - 1) and is p-regular for every prime dividing m; every
     prime dividing |G| has a p-regular orbit; no regular orbit exists.
+    workers has no effect.
     """
+    del workers
     ctx = make_field(p, k, n)
     size = ctx.size
     if size <= 2:
@@ -246,7 +248,7 @@ def wolf_family(p: int, k: int, n: int, m: int, workers: int = 1) -> tuple[Actio
         raise GcdViolation(f"gcd({size - 1}, {m}) != 1")
     cycle = tuple((i + 1) % m for i in range(m))
     instance = build_wreath(WreathSpec(ctx, ((0, 1),), m, (cycle,)))
-    report = enumerate_orbits(instance, workers=workers)
+    report = enumerate_orbits(instance)
     order = instance.group_order
     expected = (size - 1) ** m * m
     if order != expected:

@@ -155,8 +155,8 @@ class FieldContext:
     """Immutable handle on GF(q^n), q = p^k, with exp/log tables.
 
     exp_table and log_table are read-only int32 ndarrays (see the module
-    docstring), so the context is safe to share across workers; every
-    operation in this module is a pure function of (context, inputs).
+    docstring); every operation in this module is a pure function of
+    (context, inputs).
     """
 
     __slots__ = ("p", "k", "n", "q", "degree", "size", "order", "poly",

@@ -20,14 +20,13 @@ from .action import (
     ActionInstance,
     MatrixAction,
     SemilinearAction,
-    is_faithful,
-    is_irreducible,
     mat_det,
     orbit_implication_report,
 )
 from .constructions import WreathSpec, build_example1, build_example2, build_wreath
 from .errors import CapExceeded, IntransitiveTop, SchemaError
 from .field import make_field
+from .permutation import compose_perm
 from .semilinear import IDENTITY, compose
 from .specfile import instance_to_spec
 
@@ -165,25 +164,27 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
     for _ in range(max(1, count - 1)):
         perm = tuple(rng.sample(range(m), m))
         if force_odd:
-            perm = _odd_part_power(_perm_mul, tuple(range(m)), perm)
+            perm = _odd_part_power(compose_perm, tuple(range(m)), perm)
         tops.append(perm)
     return build_wreath(WreathSpec(ctx, tuple(inner), m, tuple(tops)))
 
 
-def _perm_mul(a, b):
-    return tuple(a[b[x]] for x in range(len(a)))
-
-
-def _passes_filters(cfg: SearchConfig, instance: ActionInstance) -> bool:
+def _kept_record(cfg: SearchConfig, instance: ActionInstance, index: int,
+                 source: str) -> dict | None:
+    """The instance's record if it passes the parity filters and acts
+    faithfully and irreducibly, else None."""
     if cfg.odd_order is not None:
         if (instance.group_order % 2 == 1) != bool(cfg.odd_order):
-            return False
+            return None
     if cfg.odd_characteristic is not None:
         if (instance.backend.characteristic % 2 == 1) != bool(cfg.odd_characteristic):
-            return False
-    if not is_faithful(instance).faithful:
-        return False
-    return is_irreducible(instance)
+            return None
+    report = orbit_implication_report(instance)
+    if not (report.faithful and report.irreducible):
+        return None
+    record = {"index": index, "source": source, "spec": instance_to_spec(instance)}
+    record.update(report.to_json_dict())
+    return record
 
 
 def iter_search(cfg: SearchConfig, workers: int = 1, log=None):
@@ -192,15 +193,19 @@ def iter_search(cfg: SearchConfig, workers: int = 1, log=None):
     Known example constructions come first when include_examples is set
     (only those matching the parity filters); then seeded random samples
     until cfg.samples records are produced or the attempt budget runs out.
-    Cap violations are logged and skipped, never fatal.
+    Each sample is decided once, by one orbit_implication_report, and its
+    record is yielded as soon as it is kept.  Cap violations are logged and
+    skipped, never fatal.  workers has no effect.
     """
+    del workers
     log = log if log is not None else sys.stderr
-    pending = []
+    index = 0
     if cfg.include_examples:
         for name, builder in (("example1", build_example1), ("example2", build_example2)):
-            instance = builder()
-            if _passes_filters(cfg, instance):
-                pending.append((name, instance))
+            record = _kept_record(cfg, builder(), index, name)
+            if record is not None:
+                yield record
+                index += 1
     rng = random.Random(cfg.seed)
     accepted = 0
     budget = cfg.samples * cfg.max_attempts
@@ -210,27 +215,16 @@ def iter_search(cfg: SearchConfig, workers: int = 1, log=None):
         try:
             instance = _draw_instance(rng, template, cfg.gen_count,
                                       force_odd=cfg.odd_order is True)
-            if not _passes_filters(cfg, instance):
-                continue
+            record = _kept_record(cfg, instance, index, f"sample-{accepted}")
         except (CapExceeded, IntransitiveTop) as exc:
             print(f"search: skipped a sample ({exc})", file=log)
             continue
-        pending.append((f"sample-{accepted}", instance))
-        accepted += 1
+        if record is not None:
+            yield record
+            index += 1
+            accepted += 1
     if accepted < cfg.samples:
         print(f"search: attempt budget exhausted after {accepted} accepted samples", file=log)
-
-    if workers > 1 and len(pending) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda pair: orbit_implication_report(pair[1]), pending))
-    else:
-        reports = [orbit_implication_report(inst) for _, inst in pending]
-    for index, ((source, instance), report) in enumerate(zip(pending, reports)):
-        record = {"index": index, "source": source,
-                  "spec": instance_to_spec(instance)}
-        record.update(report.to_json_dict())
-        yield record
 
 
 def run_search(cfg: SearchConfig, out_path: str | None = None, stream=None,
@@ -239,8 +233,9 @@ def run_search(cfg: SearchConfig, out_path: str | None = None, stream=None,
 
     Returns a summary dict.  Counterexample records are appended to
     out_path as JSON lines wrapped with the run metadata needed to replay
-    them (seed, caps, version).
+    them (seed, caps, version).  workers has no effect.
     """
+    del workers
     stream = stream if stream is not None else sys.stdout
     meta = {"seed": cfg.seed, "samples": cfg.samples,
             "element_cap": caps.element_cap(), "point_cap": caps.point_cap(),
@@ -249,7 +244,7 @@ def run_search(cfg: SearchConfig, out_path: str | None = None, stream=None,
     hits = 0
     sink = open(out_path, "a") if out_path else None
     try:
-        for record in iter_search(cfg, workers=workers, log=log):
+        for record in iter_search(cfg, log=log):
             total += 1
             print(json.dumps(record, separators=(",", ":")), file=stream)
             if record["is_counterexample"]:

@@ -424,7 +424,9 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
     orbit exists iff no relevant prime s has its whole norm-one subgroup
     inside B = A intersect (multiplications).  The witness vector, when one
     exists, is found by an ascending scan and is therefore canonical.
+    workers has no effect.
     """
+    del workers
     std = standardize_subgroup(ctx, maps, assume_subgroup)
     elems = std.subgroup
     b_exponents = {e for t, e in elems if t == 0}
@@ -433,7 +435,7 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
         n_sub = norm_one_subgroup(ctx, s)
         if all(e in b_exponents for e in n_sub.elements):
             return RegularOrbitDecision(False, None, s, len(elems))
-    witness = _smallest_regular_point(ctx, elems, workers)
+    witness = _smallest_regular_point(ctx, elems)
     if witness is None:
         raise ConstructionFailed("criterion affirmed a regular orbit but none was found")
     return RegularOrbitDecision(True, witness, None, len(elems))
@@ -443,31 +445,14 @@ def _point_of_code(code: int) -> int:
     return ZERO if code == 0 else code - 1
 
 
-def _smallest_regular_point(ctx: FieldContext, elems, workers: int = 1) -> int | None:
+def _smallest_regular_point(ctx: FieldContext, elems) -> int | None:
     """Smallest point code whose stabilizer in the subgroup is trivial."""
     nontrivial = [f for f in elems if f != IDENTITY]
-    size = ctx.size
-
-    def scan(lo: int, hi: int) -> int | None:
-        for code in range(lo, hi):
-            v = _point_of_code(code)
-            if all(apply_map(ctx, f, v) != v for f in nontrivial):
-                return code
-        return None
-
-    if workers <= 1 or size < 1024:
-        return scan(0, size)
-    from concurrent.futures import ThreadPoolExecutor
-    bounds = _chunks(size, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda b: scan(*b), bounds))
-    hits = [r for r in results if r is not None]
-    return min(hits) if hits else None
-
-
-def _chunks(size: int, workers: int) -> list[tuple[int, int]]:
-    span = (size + workers - 1) // workers
-    return [(lo, min(lo + span, size)) for lo in range(0, size, span)]
+    for code in range(ctx.size):
+        v = _point_of_code(code)
+        if all(apply_map(ctx, f, v) != v for f in nontrivial):
+            return code
+    return None
 
 
 @dataclass(frozen=True)
@@ -484,10 +469,11 @@ def covering_prime_witness(ctx: FieldContext, maps, assume_subgroup: bool = Fals
     Requires the subgroup to have no regular orbit (checked by brute force,
     raising HasRegularOrbit otherwise).  Returns the smallest prime s for
     which every point of the field is fixed by some order-s element, with
-    the first such element per point.
+    the first such element per point.  workers has no effect.
     """
+    del workers
     elems = _as_subgroup(ctx, maps, assume_subgroup)
-    if _smallest_regular_point(ctx, elems, workers) is not None:
+    if _smallest_regular_point(ctx, elems) is not None:
         raise HasRegularOrbit("the subgroup has a regular orbit; no covering prime exists")
     orders = {f: element_order(ctx, f) for f in elems}
     for s in outside_prime_orders(ctx, elems):

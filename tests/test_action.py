@@ -43,6 +43,15 @@ def test_point_cap(monkeypatch):
         A.enumerate_orbits(inst)
 
 
+def test_point_cap_applies_to_every_sweep(monkeypatch):
+    # is_irreducible without representatives sweeps the points itself
+    monkeypatch.setenv("ORBITFORGE_POINT_CAP", "50")
+    inst = semilinear_instance(3, 1, 4, [(0, 1)])
+    with pytest.raises(PointCapExceeded):
+        A.is_irreducible(inst)
+    assert A.is_irreducible(semilinear_instance(2, 1, 4, [(0, 1)]))
+
+
 def test_generator_validation():
     ctx = make_field(2, 1, 2)
     with pytest.raises(NotInGqn):

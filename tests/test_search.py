@@ -169,3 +169,36 @@ def test_one_version_literal(tmp_path):
     run_search(cfg, out_path=str(out), stream=io.StringIO(), log=io.StringIO())
     versions = {json.loads(line)["run"]["version"] for line in out.read_text().splitlines()}
     assert versions == {"0.1.0"}
+
+
+def test_each_sample_is_swept_once(monkeypatch):
+    swept = {}
+    held = []  # keeps every swept instance alive, so no id is reused
+    original = A._orbit_labels
+
+    def counting(instance):
+        held.append(instance)
+        swept[id(instance)] = swept.get(id(instance), 0) + 1
+        return original(instance)
+
+    monkeypatch.setattr(A, "_orbit_labels", counting)
+    records = list(iter_search(odd_odd_config(12, seed=21), log=io.StringIO()))
+    assert len(records) == 12
+    assert len(swept) >= len(records)
+    assert max(swept.values()) == 1
+
+
+def test_point_cap_skips_samples_and_never_stops_the_search(monkeypatch):
+    monkeypatch.setenv("ORBITFORGE_POINT_CAP", "50")
+    cfg = SearchConfig.from_dict({
+        "samples": 6, "seed": 1,
+        "templates": [{"kind": "semilinear", "field": {"p": 3, "k": 1, "n": 4}},
+                      {"kind": "semilinear", "field": {"p": 2, "k": 1, "n": 4}}],
+    })
+    log = io.StringIO()
+    records = list(iter_search(cfg, log=log))
+    assert len(records) == 6
+    assert all(rec["spec"]["field"]["p"] == 2 for rec in records)
+    skips = [line for line in log.getvalue().splitlines()
+             if line.startswith("search: skipped a sample")]
+    assert skips and all("point cap" in line for line in skips)
