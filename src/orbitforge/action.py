@@ -11,13 +11,18 @@ Three backends share one engine:
     block permutation; ((g, pi) . v)_i = g_{pi^-1(i)}(v_{pi^-1(i)}), and a
     point's index is sum(code(v_i) * f^(i-1)) over blocks.
 
-Orbit enumeration turns each generator into a permutation array of the
-point set and labels every point with the least index in its orbit by
-min-label hooking and pointer jumping over those arrays, so reports are
-canonical: each orbit is represented by its minimum, orbits are sorted by
-(length, representative), lengths ascending.  Stabilizer orders come from
-|G| / |orbit|, never from explicit stabilizer computation, and |G| comes
-from each backend's order(generators), never from listing the group.
+Orbit enumeration labels the points of a permutation domain with the
+least index in their orbit, by min-label hooking and pointer jumping over
+one permutation array per generator.  The domain is a quotient wherever
+the group's structure gives one: for a semilinear group the cosets of its
+scalar kernel plus the zero vector, for a wreath product built by
+build_wreath the m-tuples of inner-orbit labels.  Only matrix groups and
+wreath instances without their construction data sweep every point.
+Reports are canonical: each orbit is represented by its least point code,
+orbits are sorted by (length, representative), lengths ascending.
+Stabilizer orders come from |G| / |orbit|, never from explicit stabilizer
+computation, and |G| comes from each backend's order(generators), never
+from listing the group.
 """
 
 from dataclasses import dataclass
@@ -71,7 +76,7 @@ class SemilinearAction:
         return 0 if w == ZERO else w + 1
 
     def perm_array(self, g) -> np.ndarray:
-        return _code_table(self.ctx, g)
+        return _code_table(self.ctx, g, self.ctx.order)
 
     def order(self, generators) -> int:
         return sl.subgroup_order(self.ctx, generators)
@@ -218,16 +223,11 @@ class WreathAction:
         return out
 
     def perm_array(self, g) -> np.ndarray:
-        # index = sum(code_j * f^j): an (f, ..., f) grid in C order whose axis
-        # m-1-j is block j; block j's image lands in block perm[j]
+        # block j's image lands in block perm[j]
         comps, perm = g
-        f, m = self.inner.size, self.m
-        out = np.zeros((f,) * m, dtype=np.int64)
-        for j in range(m):
-            shape = [1] * m
-            shape[m - 1 - j] = f
-            out += (_code_table(self.inner, comps[j]) * f ** perm[j]).reshape(shape)
-        return out.reshape(-1)
+        ctx, f = self.inner, self.inner.size
+        return _over_blocks(np.add, [_code_table(ctx, c, ctx.order) * f ** perm[j]
+                                     for j, c in enumerate(comps)])
 
     def order(self, generators) -> int:
         return chain_order(self, generators)
@@ -260,17 +260,30 @@ class WreathAction:
         return tuple(out)
 
 
-def _code_table(ctx: FieldContext, g) -> np.ndarray:
-    """The map (t, e): v -> g^e * v^(q^t) on point codes as a lookup array.
+def _code_table(ctx: FieldContext, g, d: int) -> np.ndarray:
+    """The map (t, e): v -> g^e * v^(q^t) on point codes mod d, as a lookup array.
 
     Code 0 is the zero vector, which stays put, and code x+1 is g^x, which
-    goes to g^(x*q^t + e).
+    goes to g^(x*q^t + e).  With d = q^n - 1 these are the field's point
+    codes; with a divisor d of it, code r+1 stands for the exponents r + dZ.
     """
     t, e = g
-    m = ctx.order
-    out = np.zeros(ctx.size, dtype=np.int64)
-    out[1:] = (np.arange(m, dtype=np.int64) * ctx.pow_q[t] + e) % m + 1
+    out = np.zeros(d + 1, dtype=np.int64)
+    out[1:] = (np.arange(d, dtype=np.int64) * (ctx.pow_q[t] % d) + e) % d + 1
     return out
+
+
+def _over_blocks(ufunc, columns) -> np.ndarray:
+    """ufunc of the per-block columns over the grid of their index tuples.
+
+    Entry sum(i_j * k^j) of the flat result, for k entries per column, is
+    ufunc(columns[0][i_0], ..., columns[m-1][i_{m-1}]): block 0 is the
+    least significant axis, as in the wreath point code.
+    """
+    out = columns[0]
+    for col in columns[1:]:
+        out = ufunc.outer(col, out)
+    return out.reshape(-1)
 
 
 def _semilinear_matrix(ctx: FieldContext, g) -> tuple[int, ...]:
@@ -519,15 +532,16 @@ class OrbitReport:
 def enumerate_orbits(instance: ActionInstance, workers: int = 1) -> OrbitReport:
     """Orbits of the instance, each represented by its least point index.
 
-    workers has no effect; it is accepted so callers that pass a worker
-    count keep working, and the report is the same for every value.
+    The orbits come from _orbit_reps, which sweeps a quotient of the point
+    set for semilinear groups and for wreath products built by
+    build_wreath, and every point otherwise; the report is the same either
+    way.  workers has no effect; it is accepted so callers that pass a
+    worker count keep working, and the report is the same for every value.
     """
     del workers
     n_points = instance.point_count
-    labels, _ = _orbit_labels(instance)  # checks the point cap before |G| is computed
+    reps, sizes = _orbit_reps(instance)  # checks the point cap before |G| is computed
     order = instance.group_order
-    reps = np.flatnonzero(labels == np.arange(n_points))
-    sizes = np.bincount(labels)[reps]
     by_length = np.argsort(sizes, kind="stable")  # reps ascend, so ties stay sorted
     lengths = tuple(sizes[by_length].tolist())
     stab = {}
@@ -549,8 +563,87 @@ def enumerate_orbits(instance: ActionInstance, workers: int = 1) -> OrbitReport:
     )
 
 
+def _orbit_reps(instance: ActionInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Every orbit's least point code, ascending, and the orbit's length.
+
+    Raises PointCapExceeded before building any array when the point count
+    is over config.point_cap(), whichever domain is then swept.  Semilinear
+    instances and wreath instances built by build_wreath (marked by
+    meta["wreath_spec"]) sweep a quotient; every other instance sweeps all
+    its points.
+    """
+    n_points = instance.point_count
+    cap = config.point_cap()
+    if n_points > cap:
+        raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
+    backend = instance.backend
+    if isinstance(backend, SemilinearAction):
+        return _quotient_orbits(*_semilinear_quotient(backend.ctx, instance.generators))
+    spec = instance.meta.get("wreath_spec")
+    if isinstance(backend, WreathAction) and spec is not None:
+        return _quotient_orbits(*_wreath_quotient(spec))
+    labels, _ = _orbit_labels(instance)
+    reps = np.flatnonzero(labels == np.arange(n_points))
+    return reps, np.bincount(labels)[reps]
+
+
+def _quotient_orbits(perms, weights, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of a group on points, read off its action on a quotient.
+
+    Quotient point i stands for weights[i] points whose least code is
+    codes[i], and codes ascend with i, so an orbit's least quotient point
+    carries its least code and its length is the orbit's sum of weights.
+    """
+    labels, _ = _sweep(len(codes), perms)
+    roots = np.flatnonzero(labels == np.arange(len(codes)))
+    return codes[roots], np.bincount(labels, weights)[roots].astype(np.int64)
+
+
+def _semilinear_quotient(ctx: FieldContext, generators):
+    """H <= GammaL(1, q^n) on the cosets of its scalar kernel K = <(0, d)>.
+
+    K is normal in H, so the H-orbits on exponents are unions of the cosets
+    x + dZ, m = q^n - 1, and (t, e) acts on Z_d by x -> x*q^t + e.  Point 0
+    is the zero vector; point r+1 is the coset of r, of m/d points whose
+    least exponent r has code r+1 (Holt-Eick-O'Brien 2005, ch. 4: orbits
+    modulo a normal subgroup).  d = m when K = 1, and then the quotient is
+    the point set.
+    """
+    _, d = sl.schreier_kernel(ctx, generators)
+    weights = np.full(d + 1, max(ctx.order, 1) // d, dtype=np.int64)
+    weights[0] = 1
+    return [_code_table(ctx, g, d) for g in generators], weights, np.arange(d + 1)
+
+
+def _wreath_quotient(spec):
+    """The full H wr S of build_wreath on the k^m grid of inner-orbit labels.
+
+    The base group H^m moves each block within its H-orbit independently,
+    so the orbits are the S-orbits on m-tuples of the k inner orbits, and
+    the tuple (l_j) stands for the product of the O_{l_j}: prod |O_{l_j}|
+    points with least code sum(code(l_j) * f^j).  Labels are numbered by
+    least code, so the least tuple of an S-orbit, in grid order, holds its
+    least code.  Inner generators fix every label and sweep nothing.
+    """
+    codes, sizes = _quotient_orbits(*_semilinear_quotient(spec.inner, spec.inner_gens))
+    k, f, m = len(codes), spec.inner.size, spec.m
+    labels = np.arange(k, dtype=np.int64)
+    perms = [_over_blocks(np.add, [labels * k ** perm[j] for j in range(m)])
+             for perm in spec.top_gens]
+    return (perms, _over_blocks(np.multiply, [sizes] * m),
+            _over_blocks(np.add, [codes * f ** j for j in range(m)]))
+
+
 def _orbit_labels(instance: ActionInstance) -> tuple[np.ndarray, int]:
-    """Least point index of every point's orbit, and the rounds it took.
+    """Least point index of every point's orbit, and the rounds it took,
+    by a sweep over every point: the generators' full permutation arrays."""
+    return _sweep(instance.point_count,
+                  [instance.backend.perm_array(g) for g in instance.generators])
+
+
+def _sweep(n_points: int, perms) -> tuple[np.ndarray, int]:
+    """Least index of every point's orbit under the permutation arrays of
+    range(n_points), and the rounds it took.
 
     Orbits are the connected components of the graph joining x to g(x) for
     each generator g.  A round takes the generator arrays and their inverses
@@ -560,15 +653,9 @@ def _orbit_labels(instance: ActionInstance) -> tuple[np.ndarray, int]:
     (7 on one 65535-cycle), where plain label propagation needs rounds in
     proportion to the orbit diameter.  A label only ever drops to another
     label of the same orbit, so once no generator moves a label, every point
-    carries its orbit's minimum.  Raises PointCapExceeded before building
-    any array when the point count is over config.point_cap().
+    carries its orbit's minimum.
     """
-    n_points = instance.point_count
-    cap = config.point_cap()
-    if n_points > cap:
-        raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
     ident = np.arange(n_points, dtype=np.int64)
-    perms = [instance.backend.perm_array(g) for g in instance.generators]
     edges = list(perms)
     for perm in perms:
         inv = np.empty_like(perm)
@@ -631,9 +718,9 @@ def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> b
     nonzero vector must be the whole space.  Since spin(g.v) = g.spin(v),
     one spin per nonzero orbit representative covers every vector, which
     keeps large mostly-transitive instances cheap.  reps, when given, is one
-    point of every orbit (an orbit report's representatives); otherwise the
-    orbits are swept here.  Wreath instances go through their block-monomial
-    matrix realization.
+    point of every orbit (an orbit report's representatives); otherwise they
+    come from _orbit_reps, the same quotient sweep enumerate_orbits uses.
+    Wreath instances go through their block-monomial matrix realization.
     """
     backend = instance.backend
     if not hasattr(backend, "matrix_of"):
@@ -647,8 +734,7 @@ def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> b
     if not mats:
         mats = [np.eye(dim, dtype=np.int64)]
     if reps is None:
-        labels, _ = _orbit_labels(instance)
-        reps = np.flatnonzero(labels == np.arange(instance.point_count)).tolist()
+        reps = _orbit_reps(instance)[0].tolist()
     for rep in sorted(reps):
         if rep == 0:
             continue  # the zero vector indexes at 0 in every backend

@@ -131,13 +131,14 @@ def subgroup_closure(ctx: FieldContext, generators, cap: int | None = None) -> t
     return tuple(sorted(seen))
 
 
-def subgroup_order(ctx: FieldContext, generators) -> int:
-    """|<generators>| = |T| * |K| without listing the subgroup H.
+def schreier_kernel(ctx: FieldContext, generators) -> tuple[int, int]:
+    """(|T|, d) for H = <generators>, without listing H.
 
-    Twists map H onto T <= Z_n with a scalar kernel K, cyclic of order
-    m / gcd(m, exponents of its generators), m = q^n - 1.  One element u_t
-    of H per twist t in T; by Schreier's lemma the u_{t(gu)}^-1 g u
-    generate K, over those u and the generators g.
+    Twists map H onto T <= Z_n with the scalar kernel K = <(0, d)>, where
+    d = gcd(m, exponents of its generators) divides m = q^n - 1, so
+    |K| = m / d.  One element u_t of H per twist t in T; by Schreier's
+    lemma the u_{t(gu)}^-1 g u generate K, over those u and the
+    generators g.  K is normal in H.
     """
     m = max(ctx.order, 1)
     by_twist = {0: IDENTITY}
@@ -151,7 +152,14 @@ def subgroup_order(ctx: FieldContext, generators) -> int:
             else:
                 by_twist[gu[0]] = gu
                 walk.append(gu)
-    return len(walk) * (m // gcd(m, *exponents))
+    return len(walk), gcd(m, *exponents)
+
+
+def subgroup_order(ctx: FieldContext, generators) -> int:
+    """|<generators>| = |T| * |K| from the Schreier kernel, without listing
+    the subgroup: |K| = m / d with (|T|, d) = schreier_kernel(...)."""
+    twists, d = schreier_kernel(ctx, generators)
+    return twists * (max(ctx.order, 1) // d)
 
 
 def _as_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False) -> tuple[SemilinearMap, ...]:
@@ -559,7 +567,7 @@ def gn_subgroup(ctx: FieldContext, s: int) -> tuple[SemilinearMap, ...]:
 __all__ = [
     "SemilinearMap", "IDENTITY", "compose", "inverse", "apply_map",
     "element_order", "conjugate_by_scalar", "scalar_maps", "galois_maps",
-    "full_group", "subgroup_closure", "subgroup_order", "gn_subgroup",
+    "full_group", "subgroup_closure", "schreier_kernel", "subgroup_order", "gn_subgroup",
     "NormOneSubgroup", "norm_one_subgroup", "norm_kernel_preimage",
     "NormPrimeAnalysis", "PrimeEntry", "norm_subgroup_prime_analysis",
     "Standardization", "standardize_subgroup", "outside_prime_orders",

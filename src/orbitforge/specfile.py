@@ -13,11 +13,12 @@ semilinear generators of the base group.  Field elements on the wire are
 """
 
 import json
+from numbers import Integral
 
 from .action import ActionInstance, MatrixAction, SemilinearAction, WreathAction, mat_det
 from .constructions import WreathSpec, build_wreath
 from .errors import SchemaError
-from .field import FieldContext, make_field
+from .field import FieldContext, check_field_args, make_field
 from .permutation import perm_from_one_line, perm_to_one_line
 
 KINDS = ("semilinear", "matrix", "wreath")
@@ -51,14 +52,24 @@ def instance_from_spec(doc) -> ActionInstance:
     return _wreath_instance(doc, action, gens)
 
 
-def _field_from(doc) -> FieldContext:
+def _int(value, what: str) -> int:
+    """value as an int; strings, floats, booleans, null and containers are schema errors."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _field_numbers(doc) -> tuple[int, int, int]:
     spec = doc.get("field")
-    if not isinstance(spec, dict):
-        raise SchemaError("field must be an object {p, k, n}")
-    try:
-        p, k, n = int(spec["p"]), int(spec.get("k", 1)), int(spec.get("n", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad field spec {spec}") from exc
+    if not isinstance(spec, dict) or "p" not in spec:
+        raise SchemaError("field must be an object {p, k, n} with at least p")
+    return (_int(spec["p"], "field.p"), _int(spec.get("k", 1), "field.k"),
+            _int(spec.get("n", 1), "field.n"))
+
+
+def _field_from(doc) -> FieldContext:
+    p, k, n = _field_numbers(doc)
+    spec = doc["field"]
     try:
         return make_field(p, k, n)
     except Exception as exc:
@@ -68,7 +79,7 @@ def _field_from(doc) -> FieldContext:
 def _semilinear_gen(ctx, g):
     if not isinstance(g, dict) or "twist" not in g or "scalar" not in g:
         raise SchemaError(f"semilinear generator must be {{twist, scalar}}, got {g}")
-    t, e = int(g["twist"]), int(g["scalar"])
+    t, e = _int(g["twist"], "twist"), _int(g["scalar"], "scalar")
     if not 0 <= t < ctx.n:
         raise SchemaError(f"twist {t} out of range for n = {ctx.n}")
     if not 0 <= e < max(ctx.order, 1):
@@ -77,43 +88,39 @@ def _semilinear_gen(ctx, g):
 
 
 def _matrix_instance(doc, action, gens) -> ActionInstance:
-    ctx_spec = doc.get("field", {})
+    p = _field_numbers(doc)[0]
     try:
-        p = int(ctx_spec["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("matrix spec needs field.p") from exc
-    try:
-        dim = int(action["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("matrix spec needs action.dim") from exc
+        check_field_args(p, 1, 1)
+    except ValueError as exc:
+        raise SchemaError(f"matrix spec needs a prime field.p: {exc}") from exc
+    if "dim" not in action:
+        raise SchemaError("matrix spec needs action.dim")
+    dim = _int(action["dim"], "action.dim")
     if dim < 1:
         raise SchemaError(f"dim must be positive, got {dim}")
-    backend = MatrixAction(p, dim)
     mats = []
-    for g in gens:
+    for g in gens:  # before the backend, which computes p ** dim
         if not isinstance(g, list) or len(g) != dim * dim:
             raise SchemaError(f"matrix generator must be a row-major list of {dim * dim} ints")
-        mat = tuple(int(v) % p for v in g)
+        mat = tuple(_int(v, "matrix entry") % p for v in g)
         if mat_det(mat, dim, p) == 0:
             raise SchemaError(f"generator {g} is singular mod {p}")
         mats.append(mat)
-    return ActionInstance(backend, mats)
+    return ActionInstance(MatrixAction(p, dim), mats)
 
 
 def _wreath_instance(doc, action, gens) -> ActionInstance:
     ctx = _field_from(doc)
-    try:
-        m = int(action["m"])
-        top = action["top_gens"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("wreath spec needs action.m and action.top_gens") from exc
+    if "m" not in action or "top_gens" not in action:
+        raise SchemaError("wreath spec needs action.m and action.top_gens")
+    m, top = _int(action["m"], "action.m"), action["top_gens"]
     if m < 1:
         raise SchemaError(f"m must be positive, got {m}")
-    if not isinstance(top, list) or not top:
+    if not isinstance(top, list) or not top or not all(isinstance(images, list) for images in top):
         raise SchemaError("top_gens must be a nonempty list of one-line images")
     try:
-        perms = tuple(perm_from_one_line([int(v) for v in images]) for images in top)
-    except (TypeError, ValueError) as exc:
+        perms = tuple(perm_from_one_line([_int(v, "top image") for v in images]) for images in top)
+    except ValueError as exc:
         raise SchemaError(f"bad top generator: {exc}") from exc
     if any(len(images) != m for images in top):
         raise SchemaError(f"top generators must have length m = {m}")

@@ -6,6 +6,7 @@ import pytest
 
 from orbitforge import action as A
 from orbitforge import semilinear as sl
+from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.errors import ElementCapExceeded, NotInGqn, PointCapExceeded
 from orbitforge.field import make_field
 
@@ -41,6 +42,10 @@ def test_point_cap(monkeypatch):
     inst = semilinear_instance(2, 1, 4, [(0, 1)])
     with pytest.raises(PointCapExceeded):
         A.enumerate_orbits(inst)
+    # a wreath product sweeps its 4-point label grid, yet 16 points are over the cap
+    wreath = build_wreath(WreathSpec(make_field(2, 1, 2), ((0, 1),), 2, ((1, 0),)))
+    with pytest.raises(PointCapExceeded):
+        A.enumerate_orbits(wreath)
 
 
 def test_point_cap_applies_to_every_sweep(monkeypatch):

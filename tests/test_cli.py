@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
-from orbitforge.cli import main
+import pytest
+
+from orbitforge import action
+from orbitforge.cli import main, verify_claims
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -120,6 +127,16 @@ def test_verify_wolf(capsys):
     assert all(l.startswith("PASS") for l in out.splitlines() if l.strip())
 
 
+def test_verify_wolf_sweeps_no_point_set(monkeypatch):
+    # the wreath orbits come from the label grid, for the report and for
+    # the irreducibility claim alike; 2^20 points are never swept
+    def full_sweep(instance):
+        raise AssertionError(f"full-point sweep of {instance!r}")
+    monkeypatch.setattr(action, "_orbit_labels", full_sweep)
+    claims = verify_claims("wolf", p=2, n=2, m=10)
+    assert len(claims) == 5 and all(ok for _, ok in claims)
+
+
 def test_verify_wolf_bad_params(capsys):
     code, _, err = run_cli(["verify", "wolf", "--p", "2", "--k", "1", "--n", "2", "--m", "3"], capsys)
     assert code == 2 and "gcd" in err
@@ -230,3 +247,74 @@ def test_console_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 9
+
+
+# -- malformed group-spec fuzz --
+
+FUZZ_SEEDS = [
+    GN16,
+    {"action": {"kind": "matrix", "dim": 2}, "field": {"p": 7, "k": 1, "n": 1},
+     "generators": [[0, 6, 1, 0], [2, 3, 3, 5]]},
+    {"action": {"kind": "wreath", "m": 3, "top_gens": [[2, 3, 1]]},
+     "field": {"p": 2, "k": 1, "n": 2}, "generators": [{"twist": 1, "scalar": 1}]},
+]
+OPTIONAL_KEYS = ("k", "n")  # default to 1, so dropping them leaves a valid spec
+
+
+def _paths(node, path=()):
+    """The path to every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _json_type(value):
+    return "bool" if isinstance(value, bool) else "number" if isinstance(value, int) else type(value).__name__
+
+
+def malformed_specs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=4),
+                       st.lists(st.integers(0, 3), max_size=3),
+                       st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+    @st.composite
+    def specs(draw):
+        doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+        how = draw(st.sampled_from(["truncate", "retype", "drop"]))
+        if how == "truncate":
+            text = json.dumps(doc)
+            return text[:draw(st.integers(0, len(text) - 1))]
+        paths = [path for path in _paths(doc) if how == "retype"
+                 or isinstance(path[-1], str) and path[-1] not in OPTIONAL_KEYS]
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            old = _json_type(parent[path[-1]])
+            parent[path[-1]] = draw(values.filter(lambda v: _json_type(v) != old))
+        return json.dumps(doc)
+    return specs()
+
+
+def test_orbits_fuzzed_specs_exit_2_without_traceback():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(malformed_specs())
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["orbits", path])
+        assert code == 2, (text, err.getvalue())
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+    check()

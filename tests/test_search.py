@@ -174,14 +174,14 @@ def test_one_version_literal(tmp_path):
 def test_each_sample_is_swept_once(monkeypatch):
     swept = {}
     held = []  # keeps every swept instance alive, so no id is reused
-    original = A._orbit_labels
+    original = A._orbit_reps
 
     def counting(instance):
         held.append(instance)
         swept[id(instance)] = swept.get(id(instance), 0) + 1
         return original(instance)
 
-    monkeypatch.setattr(A, "_orbit_labels", counting)
+    monkeypatch.setattr(A, "_orbit_reps", counting)
     records = list(iter_search(odd_odd_config(12, seed=21), log=io.StringIO()))
     assert len(records) == 12
     assert len(swept) >= len(records)

@@ -407,3 +407,35 @@ def test_gcd_identity_on_grid():
                 assert gcd(total, a) == s
                 checked += 1
     assert checked > 20
+
+
+CRITERION_FIELDS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (2, 1, 10), (2, 1, 12), (2, 2, 3), (2, 2, 6),
+                    (3, 1, 3), (3, 1, 4), (3, 1, 6), (3, 1, 7), (5, 1, 3), (5, 1, 5), (7, 1, 4)]
+
+
+def test_criterion_matches_enumerate_orbits():
+    # the orbit report is the brute-force oracle on up to 2^12 points
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from orbitforge import action as A
+
+    @st.composite
+    def subgroups(draw):
+        ctx = make_field(*draw(st.sampled_from(CRITERION_FIELDS)))
+        m = ctx.order
+        small = [c for c in range(1, m + 1) if m % c == 0 and m // c <= 64]  # scalars of order <= 64
+        gen = st.tuples(st.integers(0, ctx.n - 1),
+                        st.builds(lambda j, c: j * c % m, st.integers(0, m - 1), st.sampled_from(small)))
+        gens = draw(st.lists(gen, min_size=1, max_size=2))
+        hypothesis.assume(sl.subgroup_order(ctx, gens) <= 1000)
+        return ctx, gens
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(subgroups())
+    def check(drawn):
+        ctx, gens = drawn
+        decision = sl.regular_orbit_criterion(ctx, sl.subgroup_closure(ctx, gens), assume_subgroup=True)
+        report = A.enumerate_orbits(A.ActionInstance(A.SemilinearAction(ctx), gens))
+        assert decision.has_regular_orbit == report.regular_exists
+        assert decision.subgroup_order == report.group_order
+    check()

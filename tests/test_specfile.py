@@ -43,6 +43,8 @@ def test_schema_errors():
         {"action": {"kind": "matrix"}, "field": {"p": 7}, "generators": [[1, 0, 0, 1]]},
         {"action": {"kind": "matrix", "dim": 2}, "field": {"p": 7}, "generators": [[1, 0, 0]]},
         {"action": {"kind": "matrix", "dim": 2}, "field": {"p": 7}, "generators": [[0, 0, 0, 0]]},
+        {"action": {"kind": "matrix", "dim": 2}, "field": {"p": 0}, "generators": [[1, 0, 0, 1]]},
+        {"action": {"kind": "matrix", "dim": 2}, "field": {"p": 4}, "generators": [[1, 0, 0, 1]]},
         {"action": {"kind": "wreath", "m": 3}, "field": {"p": 3, "n": 1},
          "generators": [{"twist": 0, "scalar": 0}]},
         {"action": {"kind": "wreath", "m": 3, "top_gens": [[1, 2, 3]]},  # intransitive

@@ -1,15 +1,19 @@
 """The orbit sweep: round bounds on its weak cases, a property cross-check
-against the scalar oracle, and invariant checks that survive `python -O`."""
+against the scalar oracle, the quotient sweeps against the full-point sweep,
+and invariant checks that survive `python -O`."""
 
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from orbitforge import action as A
+from orbitforge import semilinear as sl
+from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.errors import ConstructionFailed
 from orbitforge.field import make_field
 
@@ -114,3 +118,87 @@ def test_orbit_length_check_survives_optimize_flag():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ConstructionFailed.__name__
+
+
+# -- the quotient sweeps against the full-point sweep --
+
+def full_sweep_report(inst):
+    """inst's orbit report with its orbits taken from the full-point sweep."""
+    def full_reps(instance):
+        labels, _ = A._orbit_labels(instance)
+        reps = np.flatnonzero(labels == np.arange(instance.point_count))
+        return reps, np.bincount(labels)[reps]
+    with mock.patch.object(A, "_orbit_reps", full_reps):
+        return A.enumerate_orbits(inst).to_json_dict()
+
+
+def quotient_report(inst):
+    """inst's orbit report, and the number of full-point sweeps it took."""
+    with mock.patch.object(A, "_orbit_labels", wraps=A._orbit_labels) as full:
+        report = A.enumerate_orbits(inst).to_json_dict()
+    return report, full.call_count
+
+
+QUOTIENT_FIELDS = SEMILINEAR_FIELDS + [(2, 1, 6), (2, 1, 12), (3, 1, 4), (2, 2, 3)]
+
+
+@st.composite
+def semilinear_subgroups(draw):
+    """Generators with scalars drawn from random subgroups <omega^c>, so the
+    scalar kernel <omega^d> ranges from 1 (d = m) to everything (d = 1)."""
+    ctx = make_field(*draw(st.sampled_from(QUOTIENT_FIELDS)))
+    m = ctx.order
+    divisors = [c for c in range(1, m + 1) if m % c == 0]
+    gen = st.tuples(st.integers(0, ctx.n - 1),
+                    st.builds(lambda e, c: e * c % m, st.integers(0, m - 1),
+                              st.sampled_from(divisors)))
+    return A.ActionInstance(A.SemilinearAction(ctx), draw(st.lists(gen, max_size=3)))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(semilinear_subgroups())
+@hypothesis.example(A.ActionInstance(A.SemilinearAction(make_field(2, 1, 4)), [(1, 0)]))  # K = 1
+@hypothesis.example(A.ActionInstance(A.SemilinearAction(make_field(2, 1, 6)), [(0, 1)]))  # d = 1
+@hypothesis.example(A.ActionInstance(A.SemilinearAction(make_field(2, 1, 1)), [(0, 0)]))  # m = 1
+def test_semilinear_quotient_matches_full_sweep(inst):
+    report, full_sweeps = quotient_report(inst)
+    assert full_sweeps == 0
+    assert report == full_sweep_report(inst)
+
+
+def test_semilinear_quotient_extremes():
+    ctx = make_field(2, 1, 4)
+    assert sl.schreier_kernel(ctx, [(1, 0)]) == (4, 15)   # K = 1: the quotient is every point
+    assert sl.schreier_kernel(ctx, [(0, 1)]) == (1, 1)    # K is all scalars: one coset
+    assert sl.schreier_kernel(ctx, [(2, 0), (0, 5)]) == (2, 5)
+
+
+@st.composite
+def wreath_specs(draw):
+    """build_wreath specs: random inner generators and a random transitive top."""
+    field, m = draw(st.sampled_from(WREATH_SHAPES))
+    ctx = make_field(*field)
+    inner = draw(st.lists(semilinear_maps(ctx), max_size=2))
+    order = draw(st.permutations(range(m)))  # a random m-cycle keeps the top transitive
+    cycle = [0] * m
+    for a, b in zip(order, order[1:] + order[:1]):
+        cycle[a] = b
+    extra = draw(st.lists(st.permutations(range(m)).map(tuple), max_size=2))
+    tops = draw(st.permutations([tuple(cycle)] + extra))
+    return build_wreath(WreathSpec(ctx, tuple(inner), m, tuple(tops)))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(wreath_specs())
+def test_wreath_quotient_matches_full_sweep(inst):
+    report, full_sweeps = quotient_report(inst)
+    assert full_sweeps == 0
+    assert report == full_sweep_report(inst)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(small_instances().filter(lambda inst: inst.backend.kind != "semilinear"))
+def test_matrix_and_specless_wreath_take_the_full_sweep(inst):
+    report, full_sweeps = quotient_report(inst)
+    assert full_sweeps == 1
+    assert report == full_sweep_report(inst)
