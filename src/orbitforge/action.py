@@ -374,7 +374,13 @@ def mat_kron(a, b, da: int, db: int, p: int) -> tuple[int, ...]:
 # -- instances, closure and order --
 
 def closure(backend, generators, cap: int | None = None) -> tuple:
-    """Full element list of <generators>, canonically sorted (not for orders)."""
+    """Full element list of <generators>, canonically sorted (not for orders).
+
+    The only breadth-first closure: backend is any object with identity,
+    mul and validate, that is one of the three action backends or a
+    permutation.PermGroup.  Raises ElementCapExceeded once the list would
+    pass cap elements.
+    """
     if cap is None:
         cap = config.element_cap()
     gens = []

@@ -204,13 +204,21 @@ def _make_field_cached(p: int, k: int, n: int) -> FieldContext:
 
 
 def check_field_args(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> None:
-    """Raise unless make_field(p, k, n, size_cap) may build GF(p^(k*n))."""
-    if not isinstance(p, int) or not is_prime(p):
+    """Raise unless make_field(p, k, n, size_cap) may build GF(p^(k*n)).
+
+    Bounded work for any input: p over the cap fails before the primality
+    test, and the exponent is compared before p ** (k*n) is built.
+    """
+    if not isinstance(p, int):
+        raise NonPrime(f"p must be prime, got {p}")
+    cap = min(size_cap, 2 ** 31 - 1)  # int32 tables cannot index a larger field
+    if p > cap:
+        raise SizeCapExceeded(f"p = {p} exceeds the size cap {cap}")
+    if not is_prime(p):
         raise NonPrime(f"p must be prime, got {p}")
     if k < 1 or n < 1:
         raise ValueError(f"k and n must be positive, got k={k}, n={n}")
-    cap = min(size_cap, 2 ** 31 - 1)  # int32 tables cannot index a larger field
-    if p ** (k * n) > cap:
+    if k * n >= cap.bit_length() or p ** (k * n) > cap:  # p >= 2, so 2^(k*n) > cap
         raise SizeCapExceeded(f"{p}^{k * n} exceeds the size cap {cap}")
 
 

@@ -1,4 +1,4 @@
-"""Small permutation groups: closure, transitivity, power-set regular orbits.
+"""Small permutation groups: elements, transitivity, power-set regular orbits.
 
 Permutations on m points are tuples of images on 0..m-1 internally; the
 serialized form is the 1-indexed one-line image list, e.g. [2, 3, 1] for
@@ -51,30 +51,27 @@ class PermGroup:
     _elements: tuple[Perm, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = []
+        self.generators = tuple(tuple(g) for g in self.generators)
         for g in self.generators:
-            g = tuple(g)
-            if sorted(g) != list(range(self.degree)):
-                raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
-            gens.append(g)
-        self.generators = tuple(gens)
+            self.validate(g)
+
+    @property
+    def identity(self) -> Perm:
+        return identity_perm(self.degree)
+
+    def mul(self, a: Perm, b: Perm) -> Perm:
+        return compose_perm(a, b)
+
+    def validate(self, g) -> None:
+        if sorted(g) != list(range(self.degree)):
+            raise ValueError(f"generator {g} is not a permutation of degree {self.degree}")
 
     @property
     def elements(self) -> tuple[Perm, ...]:
+        """Every element, sorted, listed by action.closure under its element cap."""
         if self._elements is None:
-            ident = identity_perm(self.degree)
-            seen = {ident}
-            frontier = [ident]
-            while frontier:
-                new = []
-                for a in frontier:
-                    for g in self.generators:
-                        c = compose_perm(a, g)
-                        if c not in seen:
-                            seen.add(c)
-                            new.append(c)
-                frontier = new
-            self._elements = tuple(sorted(seen))
+            from .action import closure  # action imports this module
+            self._elements = closure(self, self.generators)
         return self._elements
 
     @property

@@ -104,41 +104,34 @@ def full_group(ctx: FieldContext) -> tuple[SemilinearMap, ...]:
 
 
 def subgroup_closure(ctx: FieldContext, generators, cap: int | None = None) -> tuple[SemilinearMap, ...]:
-    """Closure of the generators under composition, sorted canonically."""
+    """Every element of H = <generators>, sorted canonically, without a search.
+
+    With (reps, d) = schreier_kernel(...), Schreier's lemma gives H as the
+    union of the cosets u_t K over the twist representatives u_t = (t, e_t),
+    and u_t K = {(t, e) : e = e_t (mod d)} because q^t is a unit mod m.
+    Raises ElementCapExceeded when |H| > cap, before listing anything.
+    """
     if cap is None:
         cap = config.element_cap()
-    gens = []
-    for g in generators:
-        g = (int(g[0]), int(g[1]))
+    gens = list(dict.fromkeys((int(g[0]), int(g[1])) for g in generators))
+    for g in gens:
         validate_map(ctx, g)
-        if g not in gens:
-            gens.append(g)
-    n, m, pow_q = ctx.n, ctx.order, ctx.pow_q
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        new = []
-        for t1, e1 in frontier:
-            w = pow_q[t1]
-            for t2, e2 in gens:
-                c = ((t1 + t2) % n, (e1 + e2 * w) % m) if m > 1 else ((t1 + t2) % n, 0)
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) > cap:
-                        raise ElementCapExceeded(f"closure exceeded the element cap {cap}")
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(seen))
+    reps, d = schreier_kernel(ctx, gens)
+    m = max(ctx.order, 1)
+    if len(reps) * (m // d) > cap:
+        raise ElementCapExceeded(f"closure exceeded the element cap {cap}")
+    return tuple((t, e) for t in sorted(reps) for e in range(reps[t][1] % d, m, d))
 
 
-def schreier_kernel(ctx: FieldContext, generators) -> tuple[int, int]:
-    """(|T|, d) for H = <generators>, without listing H.
+def schreier_kernel(ctx: FieldContext, generators) -> tuple[dict[int, SemilinearMap], int]:
+    """(reps, d) for H = <generators>, without listing H.
 
-    Twists map H onto T <= Z_n with the scalar kernel K = <(0, d)>, where
+    Twists map H onto T <= Z_n, and reps holds one element u_t of H per
+    twist t in T.  The scalar kernel is K = <(0, d)>, where
     d = gcd(m, exponents of its generators) divides m = q^n - 1, so
-    |K| = m / d.  One element u_t of H per twist t in T; by Schreier's
-    lemma the u_{t(gu)}^-1 g u generate K, over those u and the
-    generators g.  K is normal in H.
+    |K| = m / d.  By Schreier's lemma the u_{t(gu)}^-1 g u generate K, over
+    those u and the generators g.  K is normal in H, and H is the union of
+    the cosets u_t K (Seress 2003, ch. 4).
     """
     m = max(ctx.order, 1)
     by_twist = {0: IDENTITY}
@@ -152,14 +145,14 @@ def schreier_kernel(ctx: FieldContext, generators) -> tuple[int, int]:
             else:
                 by_twist[gu[0]] = gu
                 walk.append(gu)
-    return len(walk), gcd(m, *exponents)
+    return by_twist, gcd(m, *exponents)
 
 
 def subgroup_order(ctx: FieldContext, generators) -> int:
     """|<generators>| = |T| * |K| from the Schreier kernel, without listing
-    the subgroup: |K| = m / d with (|T|, d) = schreier_kernel(...)."""
-    twists, d = schreier_kernel(ctx, generators)
-    return twists * (max(ctx.order, 1) // d)
+    the subgroup: |K| = m / d with (reps, d) = schreier_kernel(...)."""
+    reps, d = schreier_kernel(ctx, generators)
+    return len(reps) * (max(ctx.order, 1) // d)
 
 
 def _as_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False) -> tuple[SemilinearMap, ...]:
@@ -431,8 +424,9 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
     The decision is purely algebraic: after standardization, a regular
     orbit exists iff no relevant prime s has its whole norm-one subgroup
     inside B = A intersect (multiplications).  The witness vector, when one
-    exists, is found by an ascending scan and is therefore canonical.
-    workers has no effect.
+    exists, is found by an ascending scan over A itself, not over its
+    standardized conjugate, and is therefore canonical.  workers has no
+    effect.
     """
     del workers
     std = standardize_subgroup(ctx, maps, assume_subgroup)
@@ -443,6 +437,8 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
         n_sub = norm_one_subgroup(ctx, s)
         if all(e in b_exponents for e in n_sub.elements):
             return RegularOrbitDecision(False, None, s, len(elems))
+    if std.conjugator:  # back from z A z^-1 to A
+        elems = [conjugate_by_scalar(ctx, -std.conjugator, f) for f in elems]
     witness = _smallest_regular_point(ctx, elems)
     if witness is None:
         raise ConstructionFailed("criterion affirmed a regular orbit but none was found")
@@ -504,56 +500,27 @@ def small_subgroup_survey(ctx: FieldContext) -> list[tuple[tuple[SemilinearMap, 
     """Every subgroup of the full semilinear group generated by at most two
     elements, as (elements, generators) pairs with canonical generators.
 
-    Deduplicates the |G|^2 generating pairs through a numpy multiplication
-    table, so it stays fast up to |G| of a few hundred.
+    Pairs (a, b) with a <= b run in the order of the sorted full group, and
+    the first pair to generate a subgroup names it.  Every subgroup is
+    listed by subgroup_closure, capped at the full group's order.
     """
-    import numpy as np
-
     els = full_group(ctx)
-    count = len(els)
-    index = {g: i for i, g in enumerate(els)}
-    n, m, pow_q = ctx.n, ctx.order, ctx.pow_q
-    table = np.empty((count, count), dtype=np.int32)
-    for i, (t1, e1) in enumerate(els):
-        w = pow_q[t1]
-        if m > 1:
-            table[i] = [index[((t1 + t2) % n, (e1 + e2 * w) % m)] for t2, e2 in els]
-        else:
-            table[i] = [index[((t1 + t2) % n, 0)] for t2, e2 in els]
-
-    def close(gens: tuple[int, ...], start: "np.ndarray | None" = None) -> "np.ndarray":
-        members = np.zeros(count, dtype=bool)
-        gen_arr = np.unique(np.array(gens, dtype=np.int64))
-        frontier = gen_arr if start is None else np.unique(start)
-        members[frontier] = True
-        while frontier.size:
-            prods = np.unique(table[np.ix_(frontier, gen_arr)])
-            frontier = prods[~members[prods]]
-            members[frontier] = True
-        return members
-
+    cap = len(els)
     # <a, b> depends only on <a> | <b>, so generating pairs whose cyclic
-    # closures repeat an earlier pair can be skipped outright
-    cyclic = [close((i,)) for i in range(count)]
-    cyclic_key = {}
-    cyclic_id = []
-    for i in range(count):
-        key = np.packbits(cyclic[i]).tobytes()
-        cyclic_id.append(cyclic_key.setdefault(key, len(cyclic_key)))
+    # subgroups repeat an earlier pair can be skipped outright
+    cyclic_key: dict[tuple, int] = {}
+    cyclic_id = [cyclic_key.setdefault(subgroup_closure(ctx, [g], cap), len(cyclic_key))
+                 for g in els]
     seen_pairs: set[tuple[int, int]] = set()
-    seen: dict[bytes, tuple] = {}
-    for i in range(count):
-        for j in range(i, count):
+    seen: dict[tuple, tuple] = {}
+    for i, a in enumerate(els):
+        for j in range(i, len(els)):
             pair = (min(cyclic_id[i], cyclic_id[j]), max(cyclic_id[i], cyclic_id[j]))
             if pair in seen_pairs:
                 continue
             seen_pairs.add(pair)
-            union = np.flatnonzero(cyclic[i] | cyclic[j])
-            members = close((i, j), start=union)
-            key = np.packbits(members).tobytes()
-            if key not in seen:
-                elements = tuple(els[k] for k in np.flatnonzero(members))
-                seen[key] = (elements, (els[i], els[j]))
+            elements = subgroup_closure(ctx, [a, els[j]], cap)
+            seen.setdefault(elements, (elements, (a, els[j])))
     return list(seen.values())
 
 

@@ -17,7 +17,7 @@ from numbers import Integral
 
 from .action import ActionInstance, MatrixAction, SemilinearAction, WreathAction, mat_det
 from .constructions import WreathSpec, build_wreath
-from .errors import SchemaError
+from .errors import CapExceeded, SchemaError
 from .field import FieldContext, check_field_args, make_field
 from .permutation import perm_from_one_line, perm_to_one_line
 
@@ -127,7 +127,7 @@ def _wreath_instance(doc, action, gens) -> ActionInstance:
     inner = tuple(_semilinear_gen(ctx, g) for g in gens)
     try:
         return build_wreath(WreathSpec(ctx, inner, m, perms))
-    except SchemaError:
+    except (SchemaError, CapExceeded):  # a top group over the element cap exits 3
         raise
     except Exception as exc:
         raise SchemaError(f"cannot build wreath instance: {exc}") from exc

@@ -2,14 +2,18 @@
 
 Each criterion computes its artifacts through a builder that takes a worker
 count and returns canonical JSON; the determinism criterion at the end
-recomputes every artifact with workers=1 (a second run) and workers=8 and
-compares byte for byte.  Run with `pytest -s tests/test_acceptance.py` to
-see one PASS line per criterion.
+recomputes every artifact in this process (a second run) and in a fresh
+interpreter under a different PYTHONHASHSEED, and compares byte for byte.
+Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
+criterion.
 """
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import gcd
 
@@ -367,15 +371,40 @@ def test_criterion_9_power_set_corpus():
     print(f"ACCEPTANCE 9 PASS: power-set witnesses for {len(entries)} odd transitive groups ({elapsed:.1f}s)")
 
 
+# prints every builder's artifacts as one JSON object, keyed by criterion
+FRESH_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import test_acceptance
+out = {}
+for builder in test_acceptance.BUILDERS:
+    out.update(builder(workers=1))
+print(json.dumps(out))
+"""
+
+
+def _fresh_interpreter_artifacts() -> dict[int, str]:
+    """Every artifact from a new interpreter whose string hashes differ from this one's."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, "..", "src")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    flags = ["-O"] * sys.flags.optimize
+    proc = subprocess.run([sys.executable, *flags, "-c", FRESH_RUN, src, here],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return {int(crit): blob for crit, blob in json.loads(proc.stdout).items()}
+
+
 def test_criterion_10_determinism():
     t0 = time.time()
     assert set(ARTIFACTS) == set(range(1, 10)), "criteria 1-9 must run first"
     for builder in BUILDERS:
-        again = builder(workers=1)
-        eight = builder(workers=8)
-        for crit, blob in again.items():
+        for crit, blob in builder(workers=1).items():
             assert blob == ARTIFACTS[crit], f"criterion {crit} changed between runs"
-        for crit, blob in eight.items():
-            assert blob == ARTIFACTS[crit], f"criterion {crit} differs with 8 workers"
+    fresh = _fresh_interpreter_artifacts()
+    assert set(fresh) == set(ARTIFACTS)
+    for crit, blob in fresh.items():
+        assert blob == ARTIFACTS[crit], f"criterion {crit} differs in a fresh interpreter"
     elapsed = time.time() - t0
-    print(f"ACCEPTANCE 10 PASS: byte-identical JSON across runs and worker counts ({elapsed:.1f}s)")
+    print(f"ACCEPTANCE 10 PASS: byte-identical JSON across runs and interpreters ({elapsed:.1f}s)")

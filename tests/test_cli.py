@@ -180,6 +180,32 @@ def test_field_info_size_cap(capsys):
     assert code == 3 and out == "" and "size cap" in err
 
 
+@pytest.mark.parametrize("args", [["--p", "100000000000000000039"],  # sympy.nextprime(10**20)
+                                  ["--p", "2", "--n", "1000000000000"]])
+def test_field_info_size_cap_is_bounded(capsys, args):
+    # neither a primality test on p nor p ** (k*n) runs before the cap check
+    import time
+    start = time.perf_counter()
+    code, out, err = run_cli(["field-info", *args], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "size cap" in err
+
+
+S5_TOP = [[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]
+
+
+def test_permutation_groups_obey_the_element_cap(tmp_path, capsys, monkeypatch):
+    # S_5 has 120 elements: listing it as a wreath top or for gluck is capped
+    monkeypatch.setenv("ORBITFORGE_ELEMENT_CAP", "100")
+    wreath = {"action": {"kind": "wreath", "m": 5, "top_gens": S5_TOP},
+              "field": {"p": 3}, "generators": [{"twist": 0, "scalar": 1}]}
+    code, out, err = run_cli(["orbits", write(tmp_path, "w.json", wreath)], capsys)
+    assert code == 3 and out == "" and "element cap" in err
+    code, out, err = run_cli(["gluck", write(tmp_path, "p.json", {"degree": 5, "generators": S5_TOP})],
+                             capsys)
+    assert code == 3 and out == "" and "element cap" in err
+
+
 def test_gluck(tmp_path, capsys):
     spec = {"degree": 3, "generators": [[2, 3, 1]]}
     code, out, _ = run_cli(["gluck", write(tmp_path, "p.json", spec)], capsys)

@@ -309,6 +309,14 @@ def test_criterion_witness_is_smallest():
         assert any(sl.apply_map(ctx, f, v) == v for f in sub if f != sl.IDENTITY)
 
 
+def test_criterion_witness_is_a_point_of_the_subgroup_itself():
+    # <(1, 1)> over GF(16) is not standard; its conjugate's smallest regular
+    # point is code 2, but code 1 is regular for the subgroup itself
+    ctx = make_field(2, 1, 4)
+    dec = sl.regular_orbit_criterion(ctx, sl.subgroup_closure(ctx, [(1, 1)]))
+    assert dec.has_regular_orbit and dec.regular_vector == 1
+
+
 def test_criterion_workers_agree():
     ctx = make_field(3, 1, 4)
     sub = sl.subgroup_closure(ctx, [(0, 16)])
@@ -438,4 +446,37 @@ def test_criterion_matches_enumerate_orbits():
         report = A.enumerate_orbits(A.ActionInstance(A.SemilinearAction(ctx), gens))
         assert decision.has_regular_orbit == report.regular_exists
         assert decision.subgroup_order == report.group_order
+        regular_reps = [rep for _, rep, stab in report.orbits if stab == 1]
+        assert decision.regular_vector == min(regular_reps, default=None)
+    check()
+
+
+def test_subgroup_closure_matches_generic_closure():
+    # the coset listing against the generic breadth-first closure, with the
+    # element cap at |H| and |H| - 1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from orbitforge import action as A
+    from orbitforge.errors import ElementCapExceeded
+
+    @st.composite
+    def generator_sets(draw):
+        ctx = make_field(*draw(st.sampled_from([(2, 1, 1), (3, 1, 1), *CRITERION_FIELDS[:8]])))
+        gen = st.tuples(st.integers(0, ctx.n - 1), st.integers(0, max(ctx.order, 1) - 1))
+        return ctx, draw(st.lists(gen, max_size=3))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(generator_sets())
+    def check(drawn):
+        ctx, gens = drawn
+        hypothesis.assume(sl.subgroup_order(ctx, gens) <= 5000)
+        backend = A.SemilinearAction(ctx)
+        listed = sl.subgroup_closure(ctx, [list(g) for g in gens])  # JSON-style generators
+        assert listed == A.closure(backend, gens)
+        assert sl.subgroup_closure(ctx, gens, cap=len(listed)) == listed
+        if len(listed) > 1:
+            with pytest.raises(ElementCapExceeded):
+                sl.subgroup_closure(ctx, gens, cap=len(listed) - 1)
+            with pytest.raises(ElementCapExceeded):
+                A.closure(backend, gens, cap=len(listed) - 1)
     check()

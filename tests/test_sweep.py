@@ -168,9 +168,10 @@ def test_semilinear_quotient_matches_full_sweep(inst):
 
 def test_semilinear_quotient_extremes():
     ctx = make_field(2, 1, 4)
-    assert sl.schreier_kernel(ctx, [(1, 0)]) == (4, 15)   # K = 1: the quotient is every point
-    assert sl.schreier_kernel(ctx, [(0, 1)]) == (1, 1)    # K is all scalars: one coset
-    assert sl.schreier_kernel(ctx, [(2, 0), (0, 5)]) == (2, 5)
+    # (twist representatives, d)
+    assert sl.schreier_kernel(ctx, [(1, 0)]) == ({t: (t, 0) for t in range(4)}, 15)  # K = 1: every point
+    assert sl.schreier_kernel(ctx, [(0, 1)]) == ({0: (0, 0)}, 1)    # K is all scalars: one coset
+    assert sl.schreier_kernel(ctx, [(2, 0), (0, 5)]) == ({0: (0, 0), 2: (2, 0)}, 5)
 
 
 @st.composite
