@@ -316,10 +316,6 @@ def mat_mul(a, b, dim: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mat_vec(a, v, dim: int, p: int) -> tuple[int, ...]:
-    return tuple(sum(a[i * dim + j] * v[j] for j in range(dim)) % p for i in range(dim))
-
-
 def mat_det(a, dim: int, p: int) -> int:
     rows = [list(a[i * dim:(i + 1) * dim]) for i in range(dim)]
     det = 1
@@ -858,5 +854,5 @@ __all__ = [
     "FaithfulnessReport", "is_faithful", "acts_trivially",
     "is_irreducible", "matrix_realization",
     "ImplicationReport", "orbit_implication_report",
-    "mat_identity", "mat_mul", "mat_vec", "mat_det", "mat_inv", "mat_kron",
+    "mat_identity", "mat_mul", "mat_det", "mat_inv", "mat_kron",
 ]

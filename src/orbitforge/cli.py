@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_orbits = sub.add_parser("orbits", help="orbit report for a group-spec file")
     p_orbits.add_argument("spec")
-    p_orbits.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     p_orbits.set_defaults(func=cmd_orbits)
 
     p_verify = sub.add_parser("verify", help="re-check a named construction")
@@ -84,13 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prop2 = sub.add_parser("prop2", help="regular-orbit criterion with oracle cross-check")
     p_prop2.add_argument("spec")
-    p_prop2.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     p_prop2.set_defaults(func=cmd_prop2)
 
     p_search = sub.add_parser("search", help="randomized counterexample search")
     p_search.add_argument("config")
     p_search.add_argument("--out", default="results.jsonl")
-    p_search.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     p_search.set_defaults(func=cmd_search)
 
     p_field = sub.add_parser("field-info", help="field context summary")

@@ -286,43 +286,35 @@ def _prime_list(x: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """Per block, a sign for each orbit of the inner group on V \\ {0}.
+    """A sign for each orbit of the inner group on V \\ {0}, shared by all blocks.
 
-    Signs are transported from block 1 along pure-top coset representatives
-    found by breadth-first search over the top generators; orbit(v) and
-    orbit(-v) always carry opposite signs.
+    A pure top permutation carries block 1 to block i with the identity as
+    its inner component, so every block inherits the signs of block 1;
+    orbit(v) and orbit(-v) always carry opposite signs.
     """
-    block_signs: tuple[dict[int, int], ...]   # per block: orbit representative -> +1/-1
-    orbit_reps: dict[int, int]                # inner element exponent -> orbit representative
-    transports: tuple[tuple[int, ...], ...]   # per block: the chosen top permutation
+    signs: dict[int, int]        # orbit representative -> +1/-1
+    orbit_reps: dict[int, int]   # inner element exponent -> orbit representative
 
     def sign(self, block: int, element: int) -> int:
         """Sign of the inner orbit of a nonzero element in the given block (0-indexed)."""
-        return self.block_signs[block][self.orbit_reps[element]]
+        return self.signs[self.orbit_reps[element]]
 
 
-def inner_orbit_map(ctx: FieldContext, inner_elements) -> dict[int, int]:
-    """Map each nonzero field element to the minimum of its orbit under H."""
-    reps: dict[int, int] = {}
-    for start in ctx.nonzero():
-        if start in reps:
-            continue
-        orbit = set()
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            if v in orbit:
-                continue
-            orbit.add(v)
-            frontier.extend(sl.apply_map(ctx, h, v) for h in inner_elements)
-        rep = min(orbit)
-        for v in orbit:
-            reps[v] = rep
-    return reps
+def inner_orbit_map(ctx: FieldContext, inner_gens) -> dict[int, int]:
+    """Map each nonzero field element to the minimum of its orbit under H = <inner_gens>.
+
+    With (reps, d) = schreier_kernel(...), H is the union of the cosets
+    u_t K and K adds the multiples of d to an exponent, so the orbit of x
+    is the union of the classes u_t(x) + dZ and its minimum is the least
+    u_t(x) mod d.
+    """
+    reps, d = sl.schreier_kernel(ctx, inner_gens)
+    maps = tuple(reps.values())
+    return {x: min(sl.apply_map(ctx, u, x) % d for u in maps) for x in ctx.nonzero()}
 
 
 def orbit_sign_assignment(instance: ActionInstance) -> SignAssignment:
-    """Signs for the inner orbits of a wreath instance, one dict per block.
+    """Signs for the inner orbits of a wreath instance, the same in every block.
 
     Requires odd inner order and odd characteristic so that orbits pair
     with their negatives without fixed points; pairing is anchored at the
@@ -332,26 +324,20 @@ def orbit_sign_assignment(instance: ActionInstance) -> SignAssignment:
     ctx = spec.inner
     if ctx.p == 2:
         raise EvenCharacteristic("sign pairing needs odd characteristic")
-    inner_elements = sl.subgroup_closure(ctx, spec.inner_gens)
-    if len(inner_elements) % 2 == 0:
-        raise EvenOrder(f"inner group order {len(inner_elements)} is even")
-    reps = inner_orbit_map(ctx, inner_elements)
-    base_signs: dict[int, int] = {}
+    inner_order = sl.subgroup_order(ctx, spec.inner_gens)
+    if inner_order % 2 == 0:
+        raise EvenOrder(f"inner group order {inner_order} is even")
+    reps = inner_orbit_map(ctx, spec.inner_gens)
+    signs: dict[int, int] = {}
     for rep in sorted(set(reps.values())):
-        if rep in base_signs:
+        if rep in signs:
             continue
-        base_signs[rep] = 1
+        signs[rep] = 1
         paired = reps[F.neg(ctx, rep)]
         if paired == rep:
             raise ConstructionFailed("an orbit met its own negative; pairing broken")
-        base_signs[paired] = -1
-    transports = _block_transports(spec)
-    # the chosen representatives are pure top elements, whose inner
-    # component carrying block 1 to block i is the identity map, so every
-    # block inherits the base assignment unchanged
-    block_signs = tuple(dict(base_signs) for _ in range(spec.m))
-    return SignAssignment(block_signs=block_signs, orbit_reps=reps,
-                          transports=transports)
+        signs[paired] = -1
+    return SignAssignment(signs=signs, orbit_reps=reps)
 
 
 def _wreath_spec(instance: ActionInstance) -> WreathSpec:
@@ -359,26 +345,6 @@ def _wreath_spec(instance: ActionInstance) -> WreathSpec:
     if not isinstance(instance.backend, WreathAction) or spec is None:
         raise UnsupportedBackend("sign machinery needs an instance built by build_wreath")
     return spec
-
-
-def _block_transports(spec: WreathSpec) -> tuple[tuple[int, ...], ...]:
-    """For each block i, a top permutation moving block 1 to i (BFS words)."""
-    m = spec.m
-    found: dict[int, tuple[int, ...]] = {0: identity_perm(m)}
-    frontier = [identity_perm(m)]
-    while len(found) < m and frontier:
-        new = []
-        for word in frontier:
-            for gen in spec.top_gens:
-                nxt = tuple(gen[word[x]] for x in range(m))
-                target = nxt[0]
-                if target not in found:
-                    found[target] = nxt
-                    new.append(nxt)
-        frontier = new
-    if len(found) != m:
-        raise ConstructionFailed("top group is not transitive")
-    return tuple(found[i] for i in range(m))
 
 
 def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
@@ -394,7 +360,8 @@ def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
     spec = _wreath_spec(instance)
     ctx = spec.inner
     assignment = orbit_sign_assignment(instance)  # validates parity too
-    inner_elements = sl.subgroup_closure(ctx, spec.inner_gens)
+    twist_reps, d = sl.schreier_kernel(ctx, spec.inner_gens)
+    fixed = sl.stabilized_residues(ctx, twist_reps, d)
     top = PermGroup(spec.m, spec.top_gens)
     if top.order % 2 == 0:
         raise EvenOrder(f"top group order {top.order} is even")
@@ -404,7 +371,7 @@ def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
     for zi in z:
         if zi == ZERO:
             raise BaseStabilizerNontrivial("a zero component is stabilized by the whole inner group")
-        if any(sl.apply_map(ctx, h, zi) == zi for h in inner_elements if h != sl.IDENTITY):
+        if fixed[zi % d]:
             raise BaseStabilizerNontrivial(f"component g^{zi} has a nontrivial inner stabilizer")
 
     a1, a2 = (tuple(sorted(partition[0])), tuple(sorted(partition[1])))

@@ -78,18 +78,6 @@ class SearchConfig:
             max_attempts=int(doc.get("max_attempts", 400)),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "templates": [dict(t) for t in self.templates],
-            "samples": self.samples,
-            "seed": self.seed,
-            "gen_count": list(self.gen_count),
-            "odd_order": self.odd_order,
-            "odd_characteristic": self.odd_characteristic,
-            "include_examples": self.include_examples,
-            "max_attempts": self.max_attempts,
-        }
-
 
 def _validated_template(t) -> dict:
     if not isinstance(t, dict) or t.get("kind") not in ("semilinear", "matrix", "wreath"):
@@ -101,6 +89,8 @@ def _validated_template(t) -> dict:
            "field": {"p": int(fld["p"]), "k": int(fld.get("k", 1)), "n": int(fld.get("n", 1))}}
     try:
         make_field(out["field"]["p"], out["field"]["k"], out["field"]["n"])
+    except CapExceeded:  # a field over the size cap exits 3
+        raise
     except Exception as exc:
         raise SchemaError(f"template field {out['field']} is invalid: {exc}") from exc
     if t["kind"] == "matrix":

@@ -93,11 +93,6 @@ def scalar_maps(ctx: FieldContext) -> tuple[SemilinearMap, ...]:
     return tuple((0, e) for e in range(max(ctx.order, 1)))
 
 
-def galois_maps(ctx: FieldContext) -> tuple[SemilinearMap, ...]:
-    """The pure Galois subgroup (scalar 1), of order n."""
-    return tuple((t, 0) for t in range(ctx.n))
-
-
 def full_group(ctx: FieldContext) -> tuple[SemilinearMap, ...]:
     """All of the semilinear group, order n * (q^n - 1)."""
     return tuple((t, e) for t in range(ctx.n) for e in range(max(ctx.order, 1)))
@@ -153,6 +148,27 @@ def subgroup_order(ctx: FieldContext, generators) -> int:
     the subgroup: |K| = m / d with (reps, d) = schreier_kernel(...)."""
     reps, d = schreier_kernel(ctx, generators)
     return len(reps) * (max(ctx.order, 1) // d)
+
+
+def stabilized_residues(ctx: FieldContext, reps: dict[int, SemilinearMap], d: int) -> bytearray:
+    """Marks of the r in Z_d whose exponents r + dZ are fixed by a
+    nontrivial map of H, with (reps, d) = schreier_kernel(...).
+
+    Twist-0 maps other than the identity fix no nonzero vector.  The coset
+    u_t K of u_t = (t, e_t), t != 0, fixes x exactly when
+    x (q^t - 1) = -e_t (mod d): one progression of step d / gcd(q^t - 1, d),
+    or none.
+    """
+    fixed = bytearray(d)
+    for t, (_, e) in reps.items():
+        if t == 0:
+            continue
+        a = ctx.pow_q[t] - 1
+        x = solve_linear_congruence(a, -e, d)
+        if x is not None:
+            step = d // gcd(a, d)
+            fixed[x::step] = b"\x01" * len(range(x, d, step))
+    return fixed
 
 
 def _as_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False) -> tuple[SemilinearMap, ...]:
@@ -424,9 +440,9 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
     The decision is purely algebraic: after standardization, a regular
     orbit exists iff no relevant prime s has its whole norm-one subgroup
     inside B = A intersect (multiplications).  The witness vector, when one
-    exists, is found by an ascending scan over A itself, not over its
-    standardized conjugate, and is therefore canonical.  workers has no
-    effect.
+    exists, is the smallest regular point of A itself, not of its
+    standardized conjugate, read off the stabilized residues, and is
+    therefore canonical.  workers has no effect.
     """
     del workers
     std = standardize_subgroup(ctx, maps, assume_subgroup)
@@ -450,13 +466,25 @@ def _point_of_code(code: int) -> int:
 
 
 def _smallest_regular_point(ctx: FieldContext, elems) -> int | None:
-    """Smallest point code whose stabilizer in the subgroup is trivial."""
-    nontrivial = [f for f in elems if f != IDENTITY]
-    for code in range(ctx.size):
-        v = _point_of_code(code)
-        if all(apply_map(ctx, f, v) != v for f in nontrivial):
-            return code
-    return None
+    """Smallest point code whose stabilizer in the subgroup is trivial.
+
+    The subgroup's elements give its twist representatives (the first map
+    of each twist) and d = m |T| / |A|, so the stabilizers are read off
+    stabilized_residues without touching a point: 0 (the zero vector) for
+    the trivial group, else the first unmarked residue r as code r + 1.
+    """
+    reps: dict[int, SemilinearMap] = {}
+    for f in elems:
+        reps.setdefault(f[0], f)
+    m = max(ctx.order, 1)
+    d = m * len(reps) // len(elems)
+    if d < 1 or m % d or len(reps) * (m // d) != len(elems):
+        raise ConstructionFailed(f"{len(elems)} maps over {len(reps)} twists do not have "
+                                 f"order |T| m / d for any d dividing m = {m}")
+    if len(elems) == 1:
+        return 0
+    r = stabilized_residues(ctx, reps, d).find(0)
+    return r + 1 if r >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -470,10 +498,11 @@ def covering_prime_witness(ctx: FieldContext, maps, assume_subgroup: bool = Fals
                            workers: int = 1) -> CoveringWitness:
     """Certificate that a single prime s covers every vector with a fixer.
 
-    Requires the subgroup to have no regular orbit (checked by brute force,
-    raising HasRegularOrbit otherwise).  Returns the smallest prime s for
-    which every point of the field is fixed by some order-s element, with
-    the first such element per point.  workers has no effect.
+    Requires the subgroup to have no regular orbit (checked on the
+    stabilized residues, raising HasRegularOrbit otherwise).  Returns the
+    smallest prime s for which every point of the field is fixed by some
+    order-s element, with the first such element per point.  workers has
+    no effect.
     """
     del workers
     elems = _as_subgroup(ctx, maps, assume_subgroup)
@@ -533,8 +562,9 @@ def gn_subgroup(ctx: FieldContext, s: int) -> tuple[SemilinearMap, ...]:
 
 __all__ = [
     "SemilinearMap", "IDENTITY", "compose", "inverse", "apply_map",
-    "element_order", "conjugate_by_scalar", "scalar_maps", "galois_maps",
-    "full_group", "subgroup_closure", "schreier_kernel", "subgroup_order", "gn_subgroup",
+    "element_order", "conjugate_by_scalar", "scalar_maps",
+    "full_group", "subgroup_closure", "schreier_kernel", "subgroup_order",
+    "stabilized_residues", "gn_subgroup",
     "NormOneSubgroup", "norm_one_subgroup", "norm_kernel_preimage",
     "NormPrimeAnalysis", "PrimeEntry", "norm_subgroup_prime_analysis",
     "Standardization", "standardize_subgroup", "outside_prime_orders",

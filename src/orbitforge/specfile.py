@@ -72,6 +72,8 @@ def _field_from(doc) -> FieldContext:
     spec = doc["field"]
     try:
         return make_field(p, k, n)
+    except CapExceeded:  # a field over the size cap exits 3
+        raise
     except Exception as exc:
         raise SchemaError(f"cannot build field {spec}: {exc}") from exc
 

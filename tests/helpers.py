@@ -11,6 +11,7 @@ import sys
 
 from orbitforge import field as F
 from orbitforge import semilinear as sl
+from orbitforge.action import SemilinearAction
 from orbitforge.field import ZERO
 
 
@@ -79,6 +80,33 @@ def brute_force_has_regular_orbit(ctx, elems) -> bool:
 
 def point_stabilizer(backend, elements, code):
     return [g for g in elements if backend.act(g, code) == code]
+
+
+def smallest_regular_point_by_scan(ctx, elems):
+    """First point code whose stabilizer in the listed subgroup is trivial."""
+    backend = SemilinearAction(ctx)
+    return next((code for code in range(ctx.size)
+                 if point_stabilizer(backend, elems, code) == [sl.IDENTITY]), None)
+
+
+def inner_orbit_map_by_dfs(ctx, inner_elements):
+    """Each nonzero field element -> the minimum of its orbit, by depth-first walks."""
+    reps = {}
+    for start in ctx.nonzero():
+        if start in reps:
+            continue
+        orbit = set()
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            if v in orbit:
+                continue
+            orbit.add(v)
+            frontier.extend(sl.apply_map(ctx, h, v) for h in inner_elements)
+        rep = min(orbit)
+        for v in orbit:
+            reps[v] = rep
+    return reps
 
 
 def all_points(ctx):

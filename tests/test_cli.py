@@ -75,6 +75,20 @@ def test_orbits_cap_exceeded(tmp_path, capsys, monkeypatch):
     assert code == 3 and "error" in err
 
 
+def test_orbits_field_over_size_cap_exits_3(tmp_path, capsys):
+    spec = dict(GAMMA0_16, field={"p": 2, "n": 40})
+    code, _, err = run_cli(["orbits", write(tmp_path, "big.json", spec)], capsys)
+    assert code == 3 and "size cap" in err
+
+
+def test_search_template_over_size_cap_exits_3(tmp_path, capsys):
+    cfg = {"samples": 1, "seed": 1, "templates": [{"kind": "semilinear", "field": {"p": 2, "n": 40}}]}
+    code, _, err = run_cli(["search", write(tmp_path, "cfg.json", cfg),
+                            "--out", str(tmp_path / "hits.jsonl")], capsys)
+    assert code == 3 and "size cap" in err
+    assert not (tmp_path / "hits.jsonl").exists()
+
+
 def test_prop2_full_g4(tmp_path, capsys):
     code, out, _ = run_cli(["prop2", write(tmp_path, "g4.json", G4_FULL)], capsys)
     assert code == 0
@@ -219,13 +233,6 @@ def test_gluck_none_for_even_group(tmp_path, capsys):
     code, out, _ = run_cli(["gluck", write(tmp_path, "s3.json", spec)], capsys)
     assert code == 0
     assert json.loads(out)["witness"] is None
-
-
-def test_orbits_workers_flag_identical_output(tmp_path, capsys):
-    path = write(tmp_path, "g.json", GAMMA0_16)
-    _, out1, _ = run_cli(["orbits", path], capsys)
-    _, out8, _ = run_cli(["orbits", path, "--workers", "8"], capsys)
-    assert out1 == out8
 
 
 def test_search_cli(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from orbitforge import action as A
@@ -209,6 +211,50 @@ def test_sign_witness_gf7():
     assert [g for g in elements if inst.backend.act(g, code) == code] == [inst.backend.identity]
 
 
+def test_inner_orbit_map_matches_dfs():
+    from helpers import inner_orbit_map_by_dfs
+    rng = random.Random(5)
+    for p, k, n in [(3, 1, 1), (7, 1, 1), (11, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 1, 4), (3, 1, 4)]:
+        ctx = make_field(p, k, n)
+        for _ in range(6):
+            gens = [(rng.randrange(ctx.n), rng.randrange(ctx.order)) for _ in range(rng.randint(0, 2))]
+            assert C.inner_orbit_map(ctx, gens) == \
+                inner_orbit_map_by_dfs(ctx, sl.subgroup_closure(ctx, gens)), (ctx, gens)
+
+
+def test_sign_witness_rejects_exactly_the_stabilized_components():
+    # GF(27) with inner map (1, 2) of order 3: its twisted maps fix some
+    # nonzero points, found here by a stabilizer scan over the listed group
+    from helpers import point_stabilizer
+    ctx = make_field(3, 1, 3)
+    inst = build_wreath(WreathSpec(ctx, ((1, 2),), 3, (cyclic_perm(3),)))
+    backend = A.SemilinearAction(ctx)
+    inner = A.closure(backend, [(1, 2)])
+    stabilized = {v for v in ctx.nonzero() if len(point_stabilizer(backend, inner, v + 1)) > 1}
+    assert 0 < len(stabilized) < ctx.order
+    free = min(set(ctx.nonzero()) - stabilized)
+    for v in ctx.nonzero():
+        z = (v, free, free)
+        if v in stabilized:
+            with pytest.raises(BaseStabilizerNontrivial):
+                C.sign_pairing_witness(inst, z, ((1,), (2, 3)))
+        else:
+            y = C.sign_pairing_witness(inst, z, ((1,), (2, 3)))
+            assert all(F.neg(ctx, yi) == zi or yi == zi for yi, zi in zip(y, z))
+
+
+def test_sign_functions_list_no_inner_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inner group was listed")
+    ctx = make_field(11, 1, 1)
+    inst = build_wreath(WreathSpec(ctx, ((0, F.from_integer(ctx, 3)),), 3, (cyclic_perm(3),)))
+    monkeypatch.setattr(sl, "subgroup_closure", refuse)
+    assert C.orbit_sign_assignment(inst).sign(2, 0) == 1
+    z = tuple(F.from_integer(ctx, v) for v in (1, 1, 2))
+    y = C.sign_pairing_witness(inst, z, ((1,), (2, 3)))
+    assert tuple(F.to_integer(ctx, yi) for yi in y) == (1, 10, 2)
+
+
 def test_sign_witness_errors():
     ctx7 = make_field(7, 1, 1)
     ctx4 = make_field(2, 1, 2)
@@ -264,7 +310,7 @@ def test_invariant_checks_survive_optimize_flag():
     # one converted check per module, each tripped under python -O
     from helpers import run_with_src
     script = (
-        "from orbitforge import arith, constructions, semilinear\n"
+        "from orbitforge import arith, constructions, field, semilinear\n"
         "from orbitforge.errors import ConstructionFailed\n"
         "from orbitforge.field import make_field\n"
         "def trip(call, error):\n"
@@ -276,8 +322,10 @@ def test_invariant_checks_survive_optimize_flag():
         "semilinear._frobenius_pair_confirmed = lambda *args: False\n"
         "trip(lambda: semilinear.norm_subgroup_prime_analysis(make_field(2, 1, 2), 2),\n"
         "     ConstructionFailed)\n"
-        "spec = constructions.WreathSpec(make_field(2, 1, 2), (), 3, ((0, 1, 2),))\n"
-        "trip(lambda: constructions._block_transports(spec), ConstructionFailed)\n"
+        "spec = constructions.WreathSpec(make_field(7, 1, 1), ((0, 2),), 3, ((1, 2, 0),))\n"
+        "instance = constructions.build_wreath(spec)\n"
+        "field.neg = lambda ctx, v: v  # every orbit meets its own negative\n"
+        "trip(lambda: constructions.orbit_sign_assignment(instance), ConstructionFailed)\n"
     )
     proc = run_with_src(["-O", "-c", script])
     assert proc.returncode == 0, proc.stderr

@@ -451,6 +451,45 @@ def test_criterion_matches_enumerate_orbits():
     check()
 
 
+SCAN_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 1, 4), (5, 1, 2),
+               (2, 1, 6), (3, 1, 3), (7, 1, 2), (2, 2, 3), (3, 1, 4), (2, 1, 8)]
+
+
+def test_smallest_regular_point_matches_point_scan():
+    # the stabilized residues against a scan of every point's stabilizer
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from helpers import smallest_regular_point_by_scan
+
+    @st.composite
+    def subgroups(draw):
+        ctx = make_field(*draw(st.sampled_from(SCAN_FIELDS)))
+        m = max(ctx.order, 1)
+        small = [c for c in range(1, m + 1) if m % c == 0]
+        gen = st.tuples(st.integers(0, ctx.n - 1),
+                        st.builds(lambda j, c: j * c % m, st.integers(0, m - 1), st.sampled_from(small)))
+        gens = draw(st.lists(gen, max_size=2))
+        hypothesis.assume(sl.subgroup_order(ctx, gens) * ctx.size <= 100_000)
+        return ctx, sl.subgroup_closure(ctx, gens)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.example((make_field(2, 1, 1), (sl.IDENTITY,)))
+    @hypothesis.given(subgroups())
+    def check(drawn):
+        ctx, elems = drawn
+        assert sl._smallest_regular_point(ctx, elems) == smallest_regular_point_by_scan(ctx, elems)
+    check()
+
+
+def test_smallest_regular_point_without_twisted_fixed_points():
+    # on GF(9), <(1, 1)> = {(0, 0), (0, 4), (1, 1), (1, 5)}: d = 4 and
+    # 2x = -1 (mod 4) has no solution, so no nonzero point is fixed
+    ctx = make_field(3, 1, 2)
+    reps, d = sl.schreier_kernel(ctx, [(1, 1)])
+    assert d == 4 and sl.stabilized_residues(ctx, reps, d) == bytearray(4)
+    assert sl._smallest_regular_point(ctx, sl.subgroup_closure(ctx, [(1, 1)])) == 1
+
+
 def test_subgroup_closure_matches_generic_closure():
     # the coset listing against the generic breadth-first closure, with the
     # element cap at |H| and |H| - 1
