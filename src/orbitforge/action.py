@@ -25,8 +25,9 @@ computation, and |G| comes from each backend's order(generators), never
 from listing the group.
 """
 
+import operator
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -575,9 +576,7 @@ def _orbit_reps(instance: ActionInstance) -> tuple[np.ndarray, np.ndarray]:
     its points.
     """
     n_points = instance.point_count
-    cap = config.point_cap()
-    if n_points > cap:
-        raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
+    _check_point_cap(n_points)
     backend = instance.backend
     if isinstance(backend, SemilinearAction):
         return _quotient_orbits(*_semilinear_quotient(backend.ctx, instance.generators))
@@ -587,6 +586,12 @@ def _orbit_reps(instance: ActionInstance) -> tuple[np.ndarray, np.ndarray]:
     labels, _ = _orbit_labels(instance)
     reps = np.flatnonzero(labels == np.arange(n_points))
     return reps, np.bincount(labels)[reps]
+
+
+def _check_point_cap(n_points: int) -> None:
+    cap = config.point_cap()
+    if n_points > cap:
+        raise PointCapExceeded(f"{n_points} points exceed the point cap {cap}")
 
 
 def _quotient_orbits(perms, weights, codes) -> tuple[np.ndarray, np.ndarray]:
@@ -716,62 +721,80 @@ def is_faithful(instance: ActionInstance) -> FaithfulnessReport:
 def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> bool:
     """No proper nonzero GF(p)-subspace is invariant under all generators.
 
-    Checked by spinning: the smallest invariant subspace containing each
-    nonzero vector must be the whole space.  Since spin(g.v) = g.spin(v),
-    one spin per nonzero orbit representative covers every vector, which
-    keeps large mostly-transitive instances cheap.  reps, when given, is one
-    point of every orbit (an orbit report's representatives); otherwise they
-    come from _orbit_reps, the same quotient sweep enumerate_orbits uses.
-    Wreath instances go through their block-monomial matrix realization.
+    Decided by spinning: spin(v), the smallest invariant subspace holding
+    v, must be the whole space for each v != 0.  spin(g.v) = g.spin(v), so
+    one spin per orbit representative decides; reps, when given, are an
+    orbit report's, otherwise _orbit_reps gives them.  Semilinear groups
+    spin fewer (_scalar_class_reps).  H wr S from build_wreath is
+    irreducible iff H = <inner_gens> is, and H != 1 or m = 1 (Clifford;
+    Manz-Wolf 1993): then its transitive top permutes m non-isomorphic
+    irreducible summands; else W^m, W H-invariant, or the diagonal is
+    invariant.  Every path checks the point cap first, as _orbit_reps does.
     """
-    backend = instance.backend
+    backend, gens = instance.backend, instance.generators
     if not hasattr(backend, "matrix_of"):
         raise UnsupportedBackend(f"irreducibility undefined for {backend!r}")
-    p = backend.characteristic
-    dim = backend.matrix_dim()
-    if dim == 0:
-        return False
-    mats = [np.array(backend.matrix_of(g), dtype=np.int64).reshape(dim, dim)
-            for g in instance.generators]
-    if not mats:
-        mats = [np.eye(dim, dtype=np.int64)]
-    if reps is None:
-        reps = _orbit_reps(instance)[0].tolist()
-    for rep in sorted(reps):
-        if rep == 0:
-            continue  # the zero vector indexes at 0 in every backend
-        vec = np.array(backend.point_coordinates(rep), dtype=np.int64)
-        if _spin_rank(vec, mats, p, dim) < dim:
+    _check_point_cap(instance.point_count)
+    spec = instance.meta.get("wreath_spec")
+    if isinstance(backend, WreathAction) and spec is not None:
+        if spec.m > 1 and all(g == sl.IDENTITY for g in spec.inner_gens):
             return False
-    return True
+        backend, gens, reps = SemilinearAction(spec.inner), spec.inner_gens, None
+    if isinstance(backend, SemilinearAction):
+        reps = _scalar_class_reps(backend.ctx, gens, reps)
+    elif reps is None:
+        reps = _orbit_reps(instance)[0].tolist()
+    p, dim = backend.characteristic, backend.matrix_dim()
+    mats = [[mat[i * dim:(i + 1) * dim] for i in range(dim)]
+            for mat in map(backend.matrix_of, gens)]
+    return dim > 0 and all(_spin_rank(backend.point_coordinates(c), mats, p, dim) == dim
+                           for c in sorted(reps) if c)  # the zero vector is code 0 everywhere
 
 
-def _spin_rank(seed: np.ndarray, mats, p: int, dim: int) -> int:
-    """Dimension of the smallest invariant subspace containing seed."""
-    basis = np.zeros((dim, dim), dtype=np.int64)
-    pivots: list[int] = []
-    queue = [seed]
+def _scalar_class_reps(ctx: FieldContext, generators, reps=None) -> set[int]:
+    """Point codes whose spins decide if H = <generators> is irreducible.
+
+    Invariant subspaces are modules for F = GF(p)[K] = GF(p^f), K the scalar
+    kernel, f least with |K| | p^f - 1, so F* = <w^c0>, m = c0 (p^f - 1).
+    With t0 = gcd(n, twists), each a in C = <w^s>, s = c0 / gcd(c0, q^t0 - 1
+    mod m), has a^(q^t - 1) in F* for every twist t of H, so a maps
+    invariant subspaces to invariant subspaces and spin(a.v) has the
+    dimension of spin(v).  Code r+1 is w^r, so one code per class mod s of
+    the orbit representatives reps decides; without reps, the H-orbits on
+    Z_s, which are the <H, C>-orbits, are swept.
+    """
+    twists, d = sl.schreier_kernel(ctx, generators)
+    m = max(ctx.order, 1)
+    f = next(f for f in range(1, ctx.degree + 1) if (ctx.p ** f - 1) % (m // d) == 0)
+    c0 = m // (ctx.p ** f - 1)
+    s = c0 // gcd(c0, (pow(ctx.q, gcd(ctx.n, *twists), m) - 1) % m)
+    if reps is None:
+        labels, _ = _sweep(s + 1, [_code_table(ctx, g, s) for g in generators])
+        reps = np.flatnonzero(labels == np.arange(s + 1)).tolist()
+    return {(r - 1) % s + 1 for r in reps if r}
+
+
+def _spin_rank(seed, mats, p: int, dim: int) -> int:
+    """Dimension of the smallest subspace holding seed and invariant under
+    mats (lists of row tuples mod p), by reduction to rows leading with 1."""
+    basis = []  # (pivot, row), each row reduced against the earlier ones
+    queue = [list(seed)]
     while queue:
-        vec = _reduce_mod_basis(queue.pop(), basis, pivots, p)
-        if not vec.any():
+        vec = queue.pop()
+        for lead, row in basis:
+            c = vec[lead]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
             continue
-        lead = int(np.flatnonzero(vec)[0])
-        vec = vec * pow(int(vec[lead]), -1, p) % p
-        basis[len(pivots)] = vec
-        pivots.append(lead)
-        if len(pivots) == dim:
-            return dim
-        queue.extend((m @ vec) % p for m in mats)
-    return len(pivots)
-
-
-def _reduce_mod_basis(vec: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    vec = vec % p
-    for row, lead in enumerate(pivots):
-        c = int(vec[lead])
-        if c:
-            vec = (vec - c * basis[row]) % p
-    return vec
+        inv = pow(vec[lead], -1, p)
+        vec = [x * inv % p for x in vec]
+        basis.append((lead, vec))
+        if len(basis) == dim:
+            break
+        queue.extend([sum(map(operator.mul, row, vec)) % p for row in rows] for rows in mats)
+    return len(basis)
 
 
 def matrix_realization(instance: ActionInstance) -> ActionInstance:

@@ -38,7 +38,7 @@ from .field import check_field_args, smallest_primitive_polynomial
 from .permutation import PermGroup, is_transitive, perm_from_one_line, power_set_regular_orbit
 from .search import SearchConfig, run_search
 from .semilinear import regular_orbit_criterion, subgroup_closure
-from .specfile import dumps_canonical, load_spec_path
+from .specfile import _int, dumps_canonical, load_spec_path
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -210,8 +210,9 @@ def cmd_gluck(args) -> int:
     if not isinstance(doc, dict) or "degree" not in doc or "generators" not in doc:
         raise SchemaError("permutation spec needs degree and generators")
     try:
-        degree = int(doc["degree"])
-        gens = tuple(perm_from_one_line([int(v) for v in images]) for images in doc["generators"])
+        degree = _int(doc["degree"], "degree")
+        gens = tuple(perm_from_one_line([_int(v, "image") for v in images])
+                     for images in doc["generators"])
         group = PermGroup(degree, gens)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad permutation spec: {exc}") from exc

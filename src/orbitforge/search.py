@@ -28,7 +28,7 @@ from .errors import CapExceeded, IntransitiveTop, SchemaError
 from .field import make_field
 from .permutation import compose_perm
 from .semilinear import IDENTITY, compose
-from .specfile import instance_to_spec
+from .specfile import _field_from, _int, instance_to_spec
 
 
 @dataclass(frozen=True)
@@ -47,58 +47,59 @@ class SearchConfig:
         if not isinstance(doc, dict):
             raise SchemaError("search config must be a JSON object")
         try:
-            samples = int(doc["samples"])
-            seed = int(doc["seed"])
+            samples = _int(doc["samples"], "samples")
+            seed = _int(doc["seed"], "seed")
             raw_templates = doc["templates"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise SchemaError(f"search config needs samples, seed, templates: {exc}") from exc
         if samples < 0:
             raise SchemaError("samples must be nonnegative")
         if not isinstance(raw_templates, list) or not raw_templates:
             raise SchemaError("templates must be a nonempty list")
         templates = tuple(_validated_template(t) for t in raw_templates)
-        gen_count = tuple(doc.get("gen_count", (1, 3)))
-        if len(gen_count) != 2 or not 1 <= gen_count[0] <= gen_count[1]:
-            raise SchemaError(f"gen_count must be [lo, hi] with 1 <= lo <= hi, got {gen_count}")
-        odd_char = doc.get("odd_characteristic")
+        gen_count = doc.get("gen_count", (1, 3))
+        if not (isinstance(gen_count, (list, tuple)) and len(gen_count) == 2
+                and 1 <= _int(gen_count[0], "gen_count[0]") <= _int(gen_count[1], "gen_count[1]")):
+            raise SchemaError(f"gen_count must be [lo, hi] with 1 <= lo <= hi, got {gen_count!r}")
+        odd_char = _flag(doc, "odd_characteristic", None)
         if odd_char is not None:
             # drop templates a characteristic filter could never accept
             templates = tuple(t for t in templates
-                              if (t["field"]["p"] % 2 == 1) == bool(odd_char))
+                              if (t["field"]["p"] % 2 == 1) == odd_char)
             if not templates:
                 raise SchemaError("no template matches the characteristic filter")
         return cls(
             templates=templates,
             samples=samples,
             seed=seed,
-            gen_count=(int(gen_count[0]), int(gen_count[1])),
-            odd_order=doc.get("odd_order"),
+            gen_count=tuple(gen_count),
+            odd_order=_flag(doc, "odd_order", None),
             odd_characteristic=odd_char,
-            include_examples=bool(doc.get("include_examples", False)),
-            max_attempts=int(doc.get("max_attempts", 400)),
+            include_examples=_flag(doc, "include_examples", False),
+            max_attempts=_int(doc.get("max_attempts", 400), "max_attempts"),
         )
+
+
+def _flag(doc: dict, key: str, default: bool | None) -> bool | None:
+    """doc[key] as a JSON boolean, also null where the default is null."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool) and (value is not None or default is not None):
+        either = "true, false or null" if default is None else "true or false"
+        raise SchemaError(f"{key} must be {either}, got {value!r}")
+    return value
 
 
 def _validated_template(t) -> dict:
     if not isinstance(t, dict) or t.get("kind") not in ("semilinear", "matrix", "wreath"):
         raise SchemaError(f"template kind must be semilinear/matrix/wreath: {t}")
-    fld = t.get("field")
-    if not isinstance(fld, dict) or "p" not in fld:
-        raise SchemaError(f"template needs a field object: {t}")
-    out = {"kind": t["kind"],
-           "field": {"p": int(fld["p"]), "k": int(fld.get("k", 1)), "n": int(fld.get("n", 1))}}
-    try:
-        make_field(out["field"]["p"], out["field"]["k"], out["field"]["n"])
-    except CapExceeded:  # a field over the size cap exits 3
-        raise
-    except Exception as exc:
-        raise SchemaError(f"template field {out['field']} is invalid: {exc}") from exc
+    ctx = _field_from(t)  # the spec reader: JSON integers, and over the size cap exits 3
+    out = {"kind": t["kind"], "field": {"p": ctx.p, "k": ctx.k, "n": ctx.n}}
     if t["kind"] == "matrix":
-        out["dim"] = int(t.get("dim", 2))
+        out["dim"] = _int(t.get("dim", 2), "template dim")
         if out["dim"] < 1:
             raise SchemaError(f"template dim must be positive: {t}")
     if t["kind"] == "wreath":
-        out["m"] = int(t.get("m", 2))
+        out["m"] = _int(t.get("m", 2), "template m")
         if out["m"] < 1:
             raise SchemaError(f"template m must be positive: {t}")
     return out

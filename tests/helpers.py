@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 from orbitforge import field as F
 from orbitforge import semilinear as sl
 from orbitforge.action import SemilinearAction
@@ -138,3 +140,51 @@ def orbit_lengths_by_scalar_bfs(instance):
             seen |= orbit
             lengths.append(len(orbit))
     return tuple(sorted(lengths))
+
+
+def spin_rank_by_numpy(seed, mats, p, dim):
+    """Dimension of the smallest invariant subspace containing seed, by
+    row reduction over numpy arrays (mats are dim x dim arrays)."""
+    basis = np.zeros((dim, dim), dtype=np.int64)
+    pivots = []
+    queue = [np.asarray(seed, dtype=np.int64)]
+    while queue:
+        vec = reduce_mod_basis(queue.pop(), basis, pivots, p)
+        if not vec.any():
+            continue
+        lead = int(np.flatnonzero(vec)[0])
+        vec = vec * pow(int(vec[lead]), -1, p) % p
+        basis[len(pivots)] = vec
+        pivots.append(lead)
+        if len(pivots) == dim:
+            return dim
+        queue.extend((m @ vec) % p for m in mats)
+    return len(pivots)
+
+
+def reduce_mod_basis(vec, basis, pivots, p):
+    vec = vec % p
+    for row, lead in enumerate(pivots):
+        c = int(vec[lead])
+        if c:
+            vec = (vec - c * basis[row]) % p
+    return vec
+
+
+def irreducible_by_exhaustive_spin(instance):
+    """Spin one vector of every line (leading coordinate 1) of GF(p)^dim."""
+    backend = instance.backend
+    p, dim = backend.characteristic, backend.matrix_dim()
+    mats = [np.array(backend.matrix_of(g), dtype=np.int64).reshape(dim, dim)
+            for g in instance.generators]
+    for code in range(1, p ** dim):
+        vec = []
+        rest = code
+        for _ in range(dim):
+            vec.append(rest % p)
+            rest //= p
+        if next(v for v in vec if v) != 1:
+            continue
+        if spin_rank_by_numpy(vec, mats, p, dim) < dim:
+            return False
+    return True

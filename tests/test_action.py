@@ -10,7 +10,7 @@ from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.errors import ElementCapExceeded, NotInGqn, PointCapExceeded
 from orbitforge.field import make_field
 
-from helpers import orbit_lengths_by_scalar_bfs
+from helpers import irreducible_by_exhaustive_spin, orbit_lengths_by_scalar_bfs
 
 
 def semilinear_instance(p, k, n, gens):
@@ -55,6 +55,14 @@ def test_point_cap_applies_to_every_sweep(monkeypatch):
     with pytest.raises(PointCapExceeded):
         A.is_irreducible(inst)
     assert A.is_irreducible(semilinear_instance(2, 1, 4, [(0, 1)]))
+
+
+def test_point_cap_applies_to_the_wreath_rule(monkeypatch):
+    # the wreath rule sweeps nothing, yet 81 points are over the cap
+    monkeypatch.setenv("ORBITFORGE_POINT_CAP", "50")
+    wreath = build_wreath(WreathSpec(make_field(3, 1, 2), ((0, 1),), 2, ((1, 0),)))
+    with pytest.raises(PointCapExceeded):
+        A.is_irreducible(wreath)
 
 
 def test_generator_validation():
@@ -251,27 +259,6 @@ def test_irreducible_examples():
 
 def test_irreducibility_matches_exhaustive_spin():
     # the per-orbit spin must agree with spinning every scalar class
-    import numpy as np
-    from orbitforge.action import _spin_rank
-
-    def exhaustive(inst):
-        backend = inst.backend
-        p, dim = backend.characteristic, backend.matrix_dim()
-        mats = [np.array(backend.matrix_of(g), dtype=np.int64).reshape(dim, dim)
-                for g in inst.generators]
-        for code in range(1, p ** dim):
-            vec = []
-            rest = code
-            for _ in range(dim):
-                vec.append(rest % p)
-                rest //= p
-            lead = next(v for v in vec if v)
-            if lead != 1:
-                continue
-            if _spin_rank(np.array(vec, dtype=np.int64), mats, p, dim) < dim:
-                return False
-        return True
-
     rng = random.Random(31)
     instances = [
         semilinear_instance(2, 1, 4, [(0, 5)]),          # reducible
@@ -285,7 +272,7 @@ def test_irreducibility_matches_exhaustive_spin():
         gens = [(rng.randrange(ctx.n), rng.randrange(ctx.order)) for _ in range(2)]
         instances.append(A.ActionInstance(A.SemilinearAction(ctx), gens))
     for inst in instances:
-        assert A.is_irreducible(inst) == exhaustive(inst)
+        assert A.is_irreducible(inst) == irreducible_by_exhaustive_spin(inst)
 
 
 def test_implication_report_free_scalar_action():

@@ -252,6 +252,44 @@ def test_search_bad_config(tmp_path, capsys):
     assert code == 2
 
 
+GF9_SEARCH = {"samples": 20, "seed": 4, "templates": [{"kind": "semilinear", "field": {"p": 3, "n": 2}}]}
+
+
+def test_search_filters_read_json_booleans(tmp_path, capsys):
+    # "false" as a string once passed bool() as true and flipped the filter
+    code, out, _ = run_cli(["search", write(tmp_path, "cfg.json",
+                                            dict(GF9_SEARCH, odd_order=False))], capsys)
+    assert code == 0 and len(out.splitlines()) == 20
+
+
+@pytest.mark.parametrize("change", [
+    {"odd_order": "false"}, {"odd_order": 0}, {"odd_characteristic": "true"},
+    {"include_examples": "no"}, {"include_examples": None}, {"samples": 2.7},
+    {"samples": "20"}, {"seed": True}, {"max_attempts": 40.0}, {"gen_count": [1, 2.5]},
+    {"gen_count": "13"},
+    {"templates": [{"kind": "semilinear", "field": {"p": "3", "n": 2}}]},
+    {"templates": [{"kind": "semilinear", "field": {"p": 3, "n": 2.0}}]},
+    {"templates": [{"kind": "matrix", "field": {"p": 3}, "dim": "2"}]},
+    {"templates": [{"kind": "wreath", "field": {"p": 3}, "m": True}]},
+])
+def test_search_config_types_are_strict(tmp_path, capsys, change):
+    code, out, err = run_cli(["search", write(tmp_path, "cfg.json", dict(GF9_SEARCH, **change))],
+                             capsys)
+    assert code == 2 and out == "" and "must be" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"degree": 3.9, "generators": [[2, 3, 1]]},
+    {"degree": "3", "generators": [[2, 3, 1]]},
+    {"degree": True, "generators": [[1]]},
+    {"degree": 3, "generators": [[2, 3.0, 1]]},
+    {"degree": 3, "generators": [["2", 3, 1]]},
+])
+def test_gluck_spec_types_are_strict(tmp_path, capsys, spec):
+    code, out, err = run_cli(["gluck", write(tmp_path, "p.json", spec)], capsys)
+    assert code == 2 and out == "" and "must be an integer" in err
+
+
 def test_search_counterexample_replays_through_orbits_cli(tmp_path, capsys):
     cfg = {"samples": 2, "seed": 5, "odd_characteristic": False, "include_examples": True,
            "templates": [{"kind": "wreath", "field": {"p": 2, "k": 1, "n": 2}, "m": 5}]}
