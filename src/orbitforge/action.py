@@ -27,6 +27,7 @@ from listing the group.
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 import numpy as np
@@ -139,17 +140,25 @@ class MatrixAction:
         return out
 
     def perm_array(self, g) -> np.ndarray:
+        """Image codes of all point codes, by linearity: x + a*p^j goes to
+        g(x) + a*(column j of g).  For p = 2 the array doubles per coordinate
+        by XOR with column j's code.  For odd p each tuple of high coordinates
+        adds its image's digits to those of the low block (at most
+        max(p, 2^16) points), so no other temporary outgrows d x block."""
         p, d = self.p, self.dim
-        idx = np.arange(self.point_count, dtype=np.int64)
-        coords = np.empty((d, self.point_count), dtype=np.int64)
-        rest = idx
-        for i in range(d):
-            coords[i] = rest % p
-            rest = rest // p
         mat = np.array(g, dtype=np.int64).reshape(d, d)
-        out_coords = (mat @ coords) % p
-        weights = np.array([p ** i for i in range(d)], dtype=np.int64)
-        return weights @ out_coords
+        weights = p ** np.arange(d, dtype=np.int64)
+        out = np.zeros(self.point_count, dtype=np.int64)
+        if p == 2:
+            for j, col in enumerate((weights @ mat).tolist()):
+                np.bitwise_xor(out[:1 << j], col, out=out[1 << j:2 << j])
+            return out
+        low = next((j for j in range(d, 0, -1) if p ** j <= 1 << 16), min(d, 1))
+        digits, highs = _span_digits(mat[:, :low], p), _span_digits(mat[:, low:], p)
+        block = digits.shape[1]
+        for h in range(highs.shape[1]):
+            out[h * block:(h + 1) * block] = weights @ ((digits + highs[:, h:h + 1]) % p)
+        return out
 
     def order(self, generators) -> int:
         return chain_order(self, generators)
@@ -272,6 +281,15 @@ def _code_table(ctx: FieldContext, g, d: int) -> np.ndarray:
     out = np.zeros(d + 1, dtype=np.int64)
     out[1:] = (np.arange(d, dtype=np.int64) * (ctx.pow_q[t] % d) + e) % d + 1
     return out
+
+
+def _span_digits(cols, p: int) -> np.ndarray:
+    """Column sum(a_j * p^j) holds the digits of sum(a_j * cols[:, j]) mod p."""
+    digits = np.zeros((len(cols), 1), dtype=np.int64)
+    for col in cols.T:
+        digits = ((digits[:, None, :] + col[:, None, None] * np.arange(p)[:, None]) % p
+                  ).reshape(len(cols), -1)
+    return digits
 
 
 def _over_blocks(ufunc, columns) -> np.ndarray:
@@ -502,9 +520,20 @@ class ActionInstance:
         if self.known_order is not None:
             return self.known_order
         if self._order is None:
-            self._order = (len(self._elements) if self._elements is not None
-                           else self.backend.order(self.generators))
+            if self._elements is not None:
+                self._order = len(self._elements)
+            elif isinstance(self.backend, SemilinearAction):
+                self._order = sl.subgroup_order(self.backend.ctx, self.generators, self._schreier)
+            else:
+                self._order = self.backend.order(self.generators)
         return self._order
+
+    @cached_property
+    def _schreier(self):
+        """(reps, d) = sl.schreier_kernel(...) of a semilinear group, once; a
+        build_wreath instance's inner group has it in meta["inner_schreier"]."""
+        record = self.meta.get("inner_schreier")
+        return record or sl.schreier_kernel(self.backend.ctx, self.generators)
 
 
 # -- orbit enumeration --
@@ -579,10 +608,11 @@ def _orbit_reps(instance: ActionInstance) -> tuple[np.ndarray, np.ndarray]:
     _check_point_cap(n_points)
     backend = instance.backend
     if isinstance(backend, SemilinearAction):
-        return _quotient_orbits(*_semilinear_quotient(backend.ctx, instance.generators))
+        return _quotient_orbits(*_semilinear_quotient(backend.ctx, instance.generators,
+                                                      instance._schreier[1]))
     spec = instance.meta.get("wreath_spec")
     if isinstance(backend, WreathAction) and spec is not None:
-        return _quotient_orbits(*_wreath_quotient(spec))
+        return _quotient_orbits(*_wreath_quotient(spec, instance._schreier[1]))
     labels, _ = _orbit_labels(instance)
     reps = np.flatnonzero(labels == np.arange(n_points))
     return reps, np.bincount(labels)[reps]
@@ -606,7 +636,7 @@ def _quotient_orbits(perms, weights, codes) -> tuple[np.ndarray, np.ndarray]:
     return codes[roots], np.bincount(labels, weights)[roots].astype(np.int64)
 
 
-def _semilinear_quotient(ctx: FieldContext, generators):
+def _semilinear_quotient(ctx: FieldContext, generators, d: int):
     """H <= GammaL(1, q^n) on the cosets of its scalar kernel K = <(0, d)>.
 
     K is normal in H, so the H-orbits on exponents are unions of the cosets
@@ -616,13 +646,12 @@ def _semilinear_quotient(ctx: FieldContext, generators):
     modulo a normal subgroup).  d = m when K = 1, and then the quotient is
     the point set.
     """
-    _, d = sl.schreier_kernel(ctx, generators)
     weights = np.full(d + 1, max(ctx.order, 1) // d, dtype=np.int64)
     weights[0] = 1
     return [_code_table(ctx, g, d) for g in generators], weights, np.arange(d + 1)
 
 
-def _wreath_quotient(spec):
+def _wreath_quotient(spec, d: int):
     """The full H wr S of build_wreath on the k^m grid of inner-orbit labels.
 
     The base group H^m moves each block within its H-orbit independently,
@@ -632,7 +661,7 @@ def _wreath_quotient(spec):
     least code, so the least tuple of an S-orbit, in grid order, holds its
     least code.  Inner generators fix every label and sweep nothing.
     """
-    codes, sizes = _quotient_orbits(*_semilinear_quotient(spec.inner, spec.inner_gens))
+    codes, sizes = _quotient_orbits(*_semilinear_quotient(spec.inner, spec.inner_gens, d))
     k, f, m = len(codes), spec.inner.size, spec.m
     labels = np.arange(k, dtype=np.int64)
     perms = [_over_blocks(np.add, [labels * k ** perm[j] for j in range(m)])
@@ -741,7 +770,7 @@ def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> b
             return False
         backend, gens, reps = SemilinearAction(spec.inner), spec.inner_gens, None
     if isinstance(backend, SemilinearAction):
-        reps = _scalar_class_reps(backend.ctx, gens, reps)
+        reps = _scalar_class_reps(backend.ctx, gens, instance._schreier, reps)
     elif reps is None:
         reps = _orbit_reps(instance)[0].tolist()
     p, dim = backend.characteristic, backend.matrix_dim()
@@ -751,7 +780,7 @@ def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> b
                            for c in sorted(reps) if c)  # the zero vector is code 0 everywhere
 
 
-def _scalar_class_reps(ctx: FieldContext, generators, reps=None) -> set[int]:
+def _scalar_class_reps(ctx: FieldContext, generators, record, reps=None) -> set[int]:
     """Point codes whose spins decide if H = <generators> is irreducible.
 
     Invariant subspaces are modules for F = GF(p)[K] = GF(p^f), K the scalar
@@ -761,9 +790,9 @@ def _scalar_class_reps(ctx: FieldContext, generators, reps=None) -> set[int]:
     invariant subspaces to invariant subspaces and spin(a.v) has the
     dimension of spin(v).  Code r+1 is w^r, so one code per class mod s of
     the orbit representatives reps decides; without reps, the H-orbits on
-    Z_s, which are the <H, C>-orbits, are swept.
+    Z_s, which are the <H, C>-orbits, are swept.  record is H's (reps, d).
     """
-    twists, d = sl.schreier_kernel(ctx, generators)
+    twists, d = record
     m = max(ctx.order, 1)
     f = next(f for f in range(1, ctx.degree + 1) if (ctx.p ** f - 1) % (m // d) == 0)
     c0 = m // (ctx.p ** f - 1)

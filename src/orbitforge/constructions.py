@@ -78,7 +78,8 @@ def build_wreath(spec: WreathSpec) -> ActionInstance:
     top = PermGroup(spec.m, spec.top_gens)
     if not is_transitive(top):
         raise IntransitiveTop(f"top generators {spec.top_gens} are not transitive on {spec.m} blocks")
-    inner_order = sl.subgroup_order(ctx, spec.inner_gens)
+    record = sl.schreier_kernel(ctx, spec.inner_gens)
+    inner_order = sl.subgroup_order(ctx, spec.inner_gens, record)
     order = inner_order ** spec.m * top.order
     backend = WreathAction(ctx, spec.m)
     ident = identity_perm(spec.m)
@@ -86,7 +87,7 @@ def build_wreath(spec: WreathSpec) -> ActionInstance:
     gens += [(tuple([sl.IDENTITY] * spec.m), tuple(p)) for p in top.generators]
     return ActionInstance(backend, gens, known_order=order,
                           meta={"wreath_spec": spec, "inner_order": inner_order,
-                                "top_order": top.order})
+                                "top_order": top.order, "inner_schreier": record})
 
 
 def build_example1() -> ActionInstance:
@@ -324,7 +325,7 @@ def orbit_sign_assignment(instance: ActionInstance) -> SignAssignment:
     ctx = spec.inner
     if ctx.p == 2:
         raise EvenCharacteristic("sign pairing needs odd characteristic")
-    inner_order = sl.subgroup_order(ctx, spec.inner_gens)
+    inner_order = instance.meta["inner_order"]
     if inner_order % 2 == 0:
         raise EvenOrder(f"inner group order {inner_order} is even")
     reps = inner_orbit_map(ctx, spec.inner_gens)
@@ -360,7 +361,7 @@ def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
     spec = _wreath_spec(instance)
     ctx = spec.inner
     assignment = orbit_sign_assignment(instance)  # validates parity too
-    twist_reps, d = sl.schreier_kernel(ctx, spec.inner_gens)
+    twist_reps, d = instance.meta["inner_schreier"]
     fixed = sl.stabilized_residues(ctx, twist_reps, d)
     top = PermGroup(spec.m, spec.top_gens)
     if top.order % 2 == 0:

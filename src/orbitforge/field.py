@@ -9,6 +9,10 @@ exponents.  Coordinates over the prime field come from two read-only int32
 arrays, built in about sqrt(q^n) numpy steps: exp_table[e] is the packed
 base-p form of g^e and log_table inverts it, with log_table[0] = ZERO.
 
+make_field keeps contexts in one LRU cache, equal (p, k*n) sharing tables.  A
+build first drops the least recently used until all tables, 8 bytes per element,
+fit in 4 MiB (any field up to 2^19 elements does); the newest always stays.
+
 The primitive element is the residue class of x modulo the lexicographically
 smallest primitive polynomial of the right degree (coefficients compared
 low-degree-first), which makes every table, and hence every downstream
@@ -16,7 +20,6 @@ witness, deterministic.
 """
 
 import math
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -27,6 +30,8 @@ from .errors import (ConstructionFailed, NonPrime, NoPrimitivePolynomial, SizeCa
                      SNotDividingN, ZeroInput)
 
 ZERO = -1
+_CACHE_BYTES = 4 << 20  # tables kept besides the newest field's (8 bytes per element)
+_contexts: dict = {}  # (p, k, n) -> FieldContext, least recently used first
 
 FieldElement = int  # ZERO or an exponent in [0, q^n - 2]
 
@@ -98,7 +103,6 @@ def _poly_eval(f, a, p):
     return acc
 
 
-@lru_cache(maxsize=None)
 def _field_tables(p: int, degree: int):
     """(poly, exp, log): exp[e] is the packed base-p form of g^e, log its inverse.
 
@@ -143,7 +147,8 @@ def _field_tables(p: int, degree: int):
     block.flags.writeable = False
     exp = block.reshape(-1)[:order]
     log = np.full(size, ZERO, dtype=np.int32)
-    log[exp] = np.arange(order, dtype=np.int32)
+    for start in range(0, order, 1 << 16):  # no order-sized temporary
+        log[exp[start:start + (1 << 16)]] = np.arange(start, min(start + (1 << 16), order))
     # g has order q^n - 1 exactly when its powers hit every nonzero element once
     if log[0] != ZERO or log[1:].min() == ZERO:
         raise ConstructionFailed(f"x is not primitive modulo {poly} over GF({p})")
@@ -197,12 +202,6 @@ class FieldContext:
         yield from range(self.order)
 
 
-@lru_cache(maxsize=None)
-def _make_field_cached(p: int, k: int, n: int) -> FieldContext:
-    poly, exp, log = _field_tables(p, k * n)
-    return FieldContext(p, k, n, poly, exp, log)
-
-
 def check_field_args(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> None:
     """Raise unless make_field(p, k, n, size_cap) may build GF(p^(k*n)).
 
@@ -225,7 +224,16 @@ def check_field_args(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_
 def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldContext:
     """Context for GF(p^(k*n)) with distinguished subfield GF(q), q = p^k."""
     check_field_args(p, k, n, size_cap)
-    return _make_field_cached(p, k, n)
+    ctx = _contexts.pop((p, k, n), None)
+    if ctx is None:
+        tables = next(((c.poly, c.exp_table, c.log_table) for c in _contexts.values()
+                       if (c.p, c.degree) == (p, k * n)), None)
+        while tables is None and _contexts and 8 * (p ** (k * n) + sum(
+                {(c.p, c.degree): c.size for c in _contexts.values()}.values())) > _CACHE_BYTES:
+            del _contexts[next(iter(_contexts))]
+        ctx = FieldContext(p, k, n, *(tables or _field_tables(p, k * n)))
+    _contexts[(p, k, n)] = ctx  # most recently used last
+    return ctx
 
 
 # -- element operations (exponent representation) --

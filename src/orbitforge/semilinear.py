@@ -143,10 +143,10 @@ def schreier_kernel(ctx: FieldContext, generators) -> tuple[dict[int, Semilinear
     return by_twist, gcd(m, *exponents)
 
 
-def subgroup_order(ctx: FieldContext, generators) -> int:
+def subgroup_order(ctx: FieldContext, generators, record=None) -> int:
     """|<generators>| = |T| * |K| from the Schreier kernel, without listing
-    the subgroup: |K| = m / d with (reps, d) = schreier_kernel(...)."""
-    reps, d = schreier_kernel(ctx, generators)
+    the subgroup: |K| = m / d with (reps, d) = record or schreier_kernel(...)."""
+    reps, d = record or schreier_kernel(ctx, generators)
     return len(reps) * (max(ctx.order, 1) // d)
 
 

@@ -188,3 +188,16 @@ def irreducible_by_exhaustive_spin(instance):
         if spin_rank_by_numpy(vec, mats, p, dim) < dim:
             return False
     return True
+
+
+def perm_array_by_matmul(p, d, g):
+    """MatrixAction's permutation array from the d x N coordinate array of
+    every point, multiplied by g and packed again."""
+    coords = np.empty((d, p ** d), dtype=np.int64)
+    rest = np.arange(p ** d, dtype=np.int64)
+    for i in range(d):
+        coords[i] = rest % p
+        rest = rest // p
+    mat = np.array(g, dtype=np.int64).reshape(d, d)
+    weights = np.array([p ** i for i in range(d)], dtype=np.int64)
+    return weights @ (mat @ coords % p)

@@ -10,7 +10,11 @@ from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.errors import ElementCapExceeded, NotInGqn, PointCapExceeded
 from orbitforge.field import make_field
 
-from helpers import irreducible_by_exhaustive_spin, orbit_lengths_by_scalar_bfs
+from helpers import (irreducible_by_exhaustive_spin, orbit_lengths_by_scalar_bfs,
+                     perm_array_by_matmul)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def semilinear_instance(p, k, n, gens):
@@ -296,3 +300,35 @@ def test_matrix_helpers():
             m2 = tuple(rng.randrange(p) for _ in range(dim * dim))
             assert A.mat_det(A.mat_mul(m, m2, dim, p), dim, p) == \
                 (A.mat_det(m, dim, p) * A.mat_det(m2, dim, p)) % p
+
+
+@st.composite
+def matrix_elements(draw):
+    """(p, d, g): an invertible d x d matrix over GF(p) on at most 2^12 points."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 257]))
+    d = draw(st.integers(1, max(j for j in range(1, 13) if p ** j <= 2 ** 12)))
+    g = tuple(draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)))
+    hypothesis.assume(A.mat_det(g, d, p))
+    return p, d, g
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(matrix_elements())
+def test_matrix_perm_array_matches_matmul(case):
+    p, d, g = case
+    backend = A.MatrixAction(p, d)
+    perm = backend.perm_array(g)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, perm_array_by_matmul(p, d, g))
+    if backend.point_count <= 343:
+        assert perm.tolist() == [backend.act(g, x) for x in range(backend.point_count)]
+
+
+@pytest.mark.parametrize("p, d", [(2, 17), (3, 11)])  # past 2^16 points: several blocks
+def test_matrix_perm_array_across_blocks(p, d):
+    rng = random.Random(d)
+    while True:
+        g = tuple(rng.randrange(p) for _ in range(d * d))
+        if A.mat_det(g, d, p):
+            break
+    assert np.array_equal(A.MatrixAction(p, d).perm_array(g), perm_array_by_matmul(p, d, g))

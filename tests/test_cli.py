@@ -173,20 +173,18 @@ def test_field_info_bad_degree(capsys):
     assert code == 2
 
 
-def test_field_info_builds_no_tables(capsys):
+def test_field_info_builds_no_tables(capsys, table_builds):
     # GF(4093^2)'s exp/log tables take seconds and ~220 MiB; the summary
     # needs only the polynomial
     import time
 
-    from orbitforge import field as F
-    builds = F._field_tables.cache_info().misses
     start = time.perf_counter()
     code, out, _ = run_cli(["field-info", "--p", "4093", "--n", "2"], capsys)
     assert time.perf_counter() - start < 1
     assert code == 0
     assert out == ('{"p":4093,"k":1,"n":2,"q":4093,"degree":2,"size":16752649,'
                    '"poly":[2,1,1]}\n')
-    assert F._field_tables.cache_info().misses == builds
+    assert table_builds == []
 
 
 def test_field_info_size_cap(capsys):

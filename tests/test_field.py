@@ -254,6 +254,42 @@ def test_int32_size_limit_ignores_larger_cap(monkeypatch):
     assert builds == []
 
 
+def cached_table_bytes():
+    tables = {id(c.log_table): c.exp_table.nbytes + c.log_table.nbytes
+              for c in F._contexts.values()}
+    return sum(tables.values())
+
+
+def test_field_cache_is_bounded_by_table_bytes(table_builds):
+    # 2^17 to 2^20 elements take 1 to 8 MiB of tables; (2, 2, 9) shares (2, 1, 18)'s
+    for field in [(2, 1, 18), (3, 1, 11), (2, 1, 19), (5, 1, 7), (2, 1, 20), (7, 1, 2),
+                  (3, 1, 11), (2, 1, 18), (2, 2, 9), (3, 2, 5), (2, 1, 17), (2, 1, 19),
+                  (11, 1, 3)]:
+        make_field(*field)
+        assert list(F._contexts)[-1] == field
+        p, degree = table_builds[-1]
+        assert cached_table_bytes() <= max(4 << 20, 8 * p ** degree)
+    assert len(table_builds) == 12
+    assert list(F._contexts) == [(11, 1, 3)]
+
+
+def test_field_cache_keeps_a_small_field_that_is_used_again(table_builds):
+    small = make_field(3, 1, 4)
+    for big in [(2, 1, 18), (5, 1, 8), (3, 1, 11), (2, 1, 18)]:  # 1.4 to 3 MiB of tables
+        make_field(*big)
+        assert make_field(3, 1, 4) is small
+    # least recently used goes first: each big field but the last evicts the one before it
+    assert table_builds == [(3, 4), (2, 18), (5, 8), (3, 11), (2, 18)]
+    assert list(F._contexts) == [(3, 1, 11), (2, 1, 18), (3, 1, 4)]
+
+
+def test_field_cache_shares_tables_across_splits(table_builds):
+    a, b, c = make_field(2, 1, 16), make_field(2, 2, 8), make_field(2, 4, 4)
+    assert table_builds == [(2, 16)]
+    assert a.exp_table is b.exp_table is c.exp_table and a.log_table is c.log_table
+    assert (a.q, b.q, c.q) == (2, 4, 16) and a != b
+
+
 def test_element_ops_return_python_ints():
     for (p, k, n) in [(2, 1, 4), (3, 1, 2), (5, 2, 1)]:
         ctx = make_field(p, k, n)

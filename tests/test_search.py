@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from orbitforge import search
+from orbitforge import semilinear as sl
 from orbitforge.errors import SchemaError
 from orbitforge.search import SearchConfig, iter_search, run_search
 from orbitforge.specfile import instance_from_spec
@@ -186,6 +188,27 @@ def test_each_sample_is_swept_once(monkeypatch):
     assert len(records) == 12
     assert len(swept) >= len(records)
     assert max(swept.values()) == 1
+
+
+def test_each_sample_builds_one_schreier_record(monkeypatch):
+    # its order, its quotient sweep and its irreducibility classes share it
+    calls = []  # schreier_kernel calls per drawn sample
+    draw, kernel = search._draw_instance, sl.schreier_kernel
+
+    def drawing(*args, **kwargs):
+        calls.append(0)
+        return draw(*args, **kwargs)
+
+    def counting(*args):
+        calls[-1] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_draw_instance", drawing)
+    monkeypatch.setattr(sl, "schreier_kernel", counting)
+    records = list(iter_search(odd_odd_config(12, seed=21), log=io.StringIO()))
+    assert len(records) == 12
+    assert {rec["spec"]["action"]["kind"] for rec in records} >= {"semilinear", "wreath"}
+    assert max(calls) == 1
 
 
 def test_point_cap_skips_samples_and_never_stops_the_search(monkeypatch):

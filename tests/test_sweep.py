@@ -2,6 +2,7 @@
 against the scalar oracle, the quotient sweeps against the full-point sweep,
 and invariant checks that survive `python -O`."""
 
+import json
 import math
 import os
 import subprocess
@@ -17,7 +18,7 @@ from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.errors import ConstructionFailed
 from orbitforge.field import make_field
 
-from helpers import orbit_lengths_by_scalar_bfs, scalar_orbit
+from helpers import orbit_lengths_by_scalar_bfs, run_with_src, scalar_orbit
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -203,3 +204,25 @@ def test_matrix_and_specless_wreath_take_the_full_sweep(inst):
     report, full_sweeps = quotient_report(inst)
     assert full_sweeps == 1
     assert report == full_sweep_report(inst)
+
+
+def test_full_matrix_sweep_of_2_to_the_20_points_in_bounded_memory(tmp_path):
+    # one cyclic shift of GF(2)^20, swept over every point by the CLI in a
+    # child that may grow its address space by 192 MiB after the imports;
+    # permutation arrays from a d x N coordinate array needed about 505 MiB
+    d = 20
+    shift = [1 if (row - col) % d == 1 else 0 for row in range(d) for col in range(d)]
+    spec = tmp_path / "shift.json"
+    spec.write_text(json.dumps({"action": {"kind": "matrix", "dim": d}, "field": {"p": 2},
+                                "generators": [shift]}))
+    script = ("import re, resource, sys\n"
+              "from orbitforge.cli import main\n"
+              "status = open('/proc/self/status').read()\n"
+              "limit = int(re.search(r'VmSize:\\s+(\\d+)', status).group(1)) * 1024 + (192 << 20)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+              f"sys.exit(main(['orbits', {str(spec)!r}]))\n")
+    proc = run_with_src(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["group_order"] == 20
+    assert len(doc["orbits"]) == 52488  # binary necklaces of length 20
