@@ -8,10 +8,11 @@ group has order n * (q^n - 1).
 
 On top of the group law this module provides the norm-one subgroup N of a
 prime-order Galois subgroup, preimages under y -> sigma(y)/y, the prime
-structure of N, conjugation of a subgroup into a standard position holding
-pure Galois elements, the algebraic criterion deciding whether a subgroup
-has a regular orbit, and the covering-prime certificate for subgroups
-without one.
+structure of N, and the paper's conjugation of a subgroup into a standard
+position holding pure Galois elements.  The algebraic criterion deciding
+whether a subgroup has a regular orbit, and the covering-prime certificate
+for subgroups without one, read the subgroup's Schreier record: its twist
+representatives and its scalar kernel K = <(0, d)>.
 """
 
 from dataclasses import dataclass
@@ -171,21 +172,58 @@ def stabilized_residues(ctx: FieldContext, reps: dict[int, SemilinearMap], d: in
     return fixed
 
 
+def _record(ctx: FieldContext, elems) -> tuple[dict[int, SemilinearMap], int]:
+    """(reps, d) of a listed subgroup A, as schreier_kernel(...) gives them:
+    the first map of each twist, and d = m |T| / |A|."""
+    reps: dict[int, SemilinearMap] = {}
+    for f in elems:
+        reps.setdefault(f[0], f)
+    m = max(ctx.order, 1)
+    d = m * len(reps) // len(elems)
+    if d < 1 or m % d or len(reps) * (m // d) != len(elems):
+        raise ConstructionFailed(f"{len(elems)} maps over {len(reps)} twists do not have "
+                                 f"order |T| m / d for any d dividing m = {m}")
+    return reps, d
+
+
+def _smallest_regular_point(ctx: FieldContext, reps, d: int) -> int | None:
+    """Smallest point code with trivial stabilizer, read off the stabilized
+    residues: 0 for the trivial group, else the first unmarked r as r + 1."""
+    if len(reps) == 1 and d == max(ctx.order, 1):
+        return 0
+    r = stabilized_residues(ctx, reps, d).find(0)
+    return r + 1 if r >= 0 else None
+
+
+def _outside_primes(ctx: FieldContext, reps, d: int) -> tuple[int, ...]:
+    """Primes s with an order-s map in H outside the multiplications: (t, e)
+    of twist order s = n / gcd(t, n) has (t, e)^s = (0, e c), c = sum of
+    q^(ti) over i < s, so u_t K = {(t, e_t + d j)} holds one iff s is prime
+    and d c j = -e_t c (mod m) for some j.  Twist 0 gives s = 1."""
+    primes = set()
+    for t, (_, e) in reps.items():
+        s = ctx.n // gcd(t, ctx.n)
+        c = sum(ctx.pow_q[t * i % ctx.n] for i in range(s))
+        if is_prime(s) and solve_linear_congruence(d * c, -e * c, max(ctx.order, 1)) is not None:
+            primes.add(s)
+    return tuple(sorted(primes))
+
+
+def outside_prime_orders(ctx: FieldContext, elems) -> tuple[int, ...]:
+    """Primes s with an order-s map of a listed subgroup outside the
+    multiplications, read off its Schreier record."""
+    return _outside_primes(ctx, *_record(ctx, tuple(elems)))
+
+
 def _as_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False) -> tuple[SemilinearMap, ...]:
     elems = tuple(sorted({(int(f[0]), int(f[1])) for f in maps}))
     if not elems:
         raise NotASubgroup("empty set is not a subgroup")
     for f in elems:
         validate_map(ctx, f)
-    if assume_subgroup:
-        return elems
-    members = set(elems)
-    if IDENTITY not in members:
-        raise NotASubgroup("the identity map is missing")
-    for f in elems:
-        for g in elems:
-            if compose(ctx, f, g) not in members:
-                raise NotASubgroup(f"not closed: {f} o {g} escapes the set")
+    # the maps lie in the group they generate: closed iff the orders agree
+    if not assume_subgroup and (order := subgroup_order(ctx, elems)) != len(elems):
+        raise NotASubgroup(f"the {len(elems)} maps generate a subgroup of order {order}")
     return elems
 
 
@@ -317,17 +355,6 @@ class Standardization:
     pure_by_prime: dict[int, SemilinearMap]
 
 
-def outside_prime_orders(ctx: FieldContext, elems) -> tuple[int, ...]:
-    """Primes s such that the set has an element of order s outside the multiplications."""
-    primes = set()
-    for f in elems:
-        if f[0] != 0:
-            o = element_order(ctx, f)
-            if is_prime(o):
-                primes.add(o)
-    return tuple(sorted(primes))
-
-
 def standardize_subgroup(ctx: FieldContext, maps, assume_subgroup: bool = False) -> Standardization:
     """Conjugate A inside the full group so that for every prime s with an
     order-s element outside the multiplications, the conjugate contains a
@@ -437,54 +464,25 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
                             workers: int = 1) -> RegularOrbitDecision:
     """Decide whether the subgroup has a regular orbit on GF(q^n).
 
-    The decision is purely algebraic: after standardization, a regular
-    orbit exists iff no relevant prime s has its whole norm-one subgroup
-    inside B = A intersect (multiplications).  The witness vector, when one
-    exists, is the smallest regular point of A itself, not of its
-    standardized conjugate, read off the stabilized residues, and is
-    therefore canonical.  workers has no effect.
+    The decision reads the Schreier record (reps, d) of A: no regular orbit
+    iff some outside prime s (an order-s map of A twists) has N_s =
+    <g^(q^(n/s) - 1)> in B = A intersect (multiplications) = <g^d>, that is
+    d | q^(n/s) - 1; the least such s fails.  Scalar conjugation fixes B and
+    those primes, so the paper's standardization (standardize_subgroup,
+    checked against this by the tests) is not needed.  The witness is the
+    smallest regular point of A, read off the stabilized residues;
+    ConstructionFailed if the two disagree.  workers has no effect.
     """
     del workers
-    std = standardize_subgroup(ctx, maps, assume_subgroup)
-    elems = std.subgroup
-    b_exponents = {e for t, e in elems if t == 0}
-    primes = outside_prime_orders(ctx, elems)
-    for s in primes:
-        n_sub = norm_one_subgroup(ctx, s)
-        if all(e in b_exponents for e in n_sub.elements):
-            return RegularOrbitDecision(False, None, s, len(elems))
-    if std.conjugator:  # back from z A z^-1 to A
-        elems = [conjugate_by_scalar(ctx, -std.conjugator, f) for f in elems]
-    witness = _smallest_regular_point(ctx, elems)
-    if witness is None:
-        raise ConstructionFailed("criterion affirmed a regular orbit but none was found")
-    return RegularOrbitDecision(True, witness, None, len(elems))
-
-
-def _point_of_code(code: int) -> int:
-    return ZERO if code == 0 else code - 1
-
-
-def _smallest_regular_point(ctx: FieldContext, elems) -> int | None:
-    """Smallest point code whose stabilizer in the subgroup is trivial.
-
-    The subgroup's elements give its twist representatives (the first map
-    of each twist) and d = m |T| / |A|, so the stabilizers are read off
-    stabilized_residues without touching a point: 0 (the zero vector) for
-    the trivial group, else the first unmarked residue r as code r + 1.
-    """
-    reps: dict[int, SemilinearMap] = {}
-    for f in elems:
-        reps.setdefault(f[0], f)
-    m = max(ctx.order, 1)
-    d = m * len(reps) // len(elems)
-    if d < 1 or m % d or len(reps) * (m // d) != len(elems):
-        raise ConstructionFailed(f"{len(elems)} maps over {len(reps)} twists do not have "
-                                 f"order |T| m / d for any d dividing m = {m}")
-    if len(elems) == 1:
-        return 0
-    r = stabilized_residues(ctx, reps, d).find(0)
-    return r + 1 if r >= 0 else None
+    elems = _as_subgroup(ctx, maps, assume_subgroup)
+    reps, d = _record(ctx, elems)
+    witness = _smallest_regular_point(ctx, reps, d)
+    failing = next((s for s in _outside_primes(ctx, reps, d)
+                    if (ctx.q ** (ctx.n // s) - 1) % d == 0), None)
+    if (witness is None) == (failing is None):
+        raise ConstructionFailed(f"failing prime {failing} and smallest regular point "
+                                 f"{witness} contradict each other")
+    return RegularOrbitDecision(failing is None, witness, failing, len(elems))
 
 
 @dataclass(frozen=True)
@@ -506,14 +504,15 @@ def covering_prime_witness(ctx: FieldContext, maps, assume_subgroup: bool = Fals
     """
     del workers
     elems = _as_subgroup(ctx, maps, assume_subgroup)
-    if _smallest_regular_point(ctx, elems) is not None:
+    reps, d = _record(ctx, elems)
+    if _smallest_regular_point(ctx, reps, d) is not None:
         raise HasRegularOrbit("the subgroup has a regular orbit; no covering prime exists")
     orders = {f: element_order(ctx, f) for f in elems}
-    for s in outside_prime_orders(ctx, elems):
+    for s in _outside_primes(ctx, reps, d):
         of_order_s = [f for f in elems if orders[f] == s]
         fixers = []
         for code in range(ctx.size):
-            v = _point_of_code(code)
+            v = ZERO if code == 0 else code - 1
             fixer = next((f for f in of_order_s if apply_map(ctx, f, v) == v), None)
             if fixer is None:
                 break

@@ -2,18 +2,22 @@
 
 Everything here is deliberately naive: products over Galois orbits, full
 point scans for stabilizers, closure-based orders, one loop step per field
-element.  The library must agree with these, never the other way around.
+element, element-by-element orders, normalizer scans.  The library must
+agree with these, never the other way around.
 """
 
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 
+from orbitforge import constructions as C
 from orbitforge import field as F
 from orbitforge import semilinear as sl
-from orbitforge.action import SemilinearAction
+from orbitforge.action import MatrixAction, SemilinearAction, closure, mat_det
+from orbitforge.arith import is_prime
 from orbitforge.field import ZERO
 
 
@@ -201,3 +205,61 @@ def perm_array_by_matmul(p, d, g):
     mat = np.array(g, dtype=np.int64).reshape(d, d)
     weights = np.array([p ** i for i in range(d)], dtype=np.int64)
     return weights @ (mat @ coords % p)
+
+
+def outside_prime_orders_by_scan(ctx, elems):
+    """Primes s such that the set has an element of order s outside the
+    multiplications, from the order of every twisted element."""
+    primes = set()
+    for f in elems:
+        if f[0] != 0:
+            o = sl.element_order(ctx, f)
+            if is_prime(o):
+                primes.add(o)
+    return tuple(sorted(primes))
+
+
+def criterion_by_standardizing(ctx, elems):
+    """The regular-orbit decision along the paper's route: standardize the
+    listed subgroup A, then look for each norm-one subgroup N_s, listed
+    element by element, among the multiplications of the conjugate.  The
+    witness is the smallest regular point of A itself, read off the
+    stabilized residues of its element list."""
+    std = sl.standardize_subgroup(ctx, elems, assume_subgroup=True)
+    b_exponents = {e for t, e in std.subgroup if t == 0}
+    for s in outside_prime_orders_by_scan(ctx, std.subgroup):
+        if all(e in b_exponents for e in sl.norm_one_subgroup(ctx, s).elements):
+            return sl.RegularOrbitDecision(False, None, s, len(elems))
+    if len(elems) == 1:
+        return sl.RegularOrbitDecision(True, 0, None, 1)
+    reps = {}
+    for f in elems:
+        reps.setdefault(f[0], f)
+    d = max(ctx.order, 1) * len(reps) // len(elems)
+    r = sl.stabilized_residues(ctx, reps, d).find(0)
+    assert r >= 0, "the norm-one test affirmed a regular orbit but none was found"
+    return sl.RegularOrbitDecision(True, r + 1, None, len(elems))
+
+
+def general_linear(p, dim):
+    """Every invertible dim x dim matrix over GF(p), as row-major tuples."""
+    return [m for m in product(range(p), repeat=dim * dim) if mat_det(m, dim, p) != 0]
+
+
+def example2_generators_by_scan():
+    """Generators (a, b, n3, n2) of the order-48 subgroup H of GL(2,7) in
+    Example 2, found by scanning the normalizer of Q = <a, b>: the first n3
+    with |<Q, n3>| = 24, then the first n2 giving order 48, center of order
+    2 and H/Q of symmetric type."""
+    a, b = (0, 6, 1, 0), (2, 3, 3, 5)
+    backend = MatrixAction(7, 2)
+    q_group = closure(backend, [a, b])
+    q_set = frozenset(q_group)
+    normalizer = [n for n in general_linear(7, 2) if C._normalizes(n, q_group, q_set, backend)]
+    for n3 in (n for n in normalizer if len(closure(backend, [a, b, n])) == 24):
+        for n2 in normalizer:
+            cand = closure(backend, [a, b, n3, n2])
+            if (len(cand) == 48 and C._center_size(cand, backend) == 2
+                    and C._coset_order_profile(cand, q_group, backend) == (1, 2, 2, 2, 3, 3)):
+                return a, b, n3, n2
+    return None

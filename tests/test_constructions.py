@@ -132,6 +132,11 @@ def test_example2_inner_group_structure():
     assert C._coset_order_profile(h_group, q_group, backend) == (1, 2, 2, 2, 3, 3)
 
 
+def test_example2_generators_are_the_normalizer_scan_result():
+    from helpers import example2_generators_by_scan
+    assert C.build_example2().meta["inner_generators"] == example2_generators_by_scan()
+
+
 def test_wolf_family_smallest():
     inst, rec = C.wolf_family(2, 1, 2, 2)
     assert rec.group_order == 18 and rec.field_size == 4

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from orbitforge import field as F
 from orbitforge import semilinear as sl
+from orbitforge.arith import is_prime
 from orbitforge.errors import (
     HasRegularOrbit,
     NotASubgroup,
@@ -13,7 +15,11 @@ from orbitforge.errors import (
 )
 from orbitforge.field import ZERO, make_field
 
-from helpers import brute_force_has_regular_orbit
+from helpers import (
+    brute_force_has_regular_orbit,
+    criterion_by_standardizing,
+    outside_prime_orders_by_scan,
+)
 
 
 def test_compose_identity():
@@ -366,6 +372,89 @@ def test_criterion_matches_brute_force_small_fields():
             assert dec.has_regular_orbit == brute_force_has_regular_orbit(ctx, elements), gens
 
 
+SURVEY_FIELDS = [(p, k, n) for p in range(2, 129) if is_prime(p)
+                 for k in range(1, 8) for n in range(1, 8) if p ** (k * n) <= 128]
+
+
+def test_criterion_matches_standardizing_oracle_on_surveys():
+    # every subgroup of the survey of every field of at most 128 elements
+    checked = 0
+    for fld in SURVEY_FIELDS:
+        ctx = make_field(*fld)
+        for elements, gens in sl.small_subgroup_survey(ctx):
+            decision = sl.regular_orbit_criterion(ctx, elements, assume_subgroup=True)
+            assert decision == criterion_by_standardizing(ctx, elements), (fld, gens)
+            assert sl.outside_prime_orders(ctx, elements) == \
+                outside_prime_orders_by_scan(ctx, elements), (fld, gens)
+            checked += 1
+    assert checked > 1000
+
+
+def _random_generators(rng, ctx):
+    """One or two maps whose subgroup has a small scalar kernel, or, as in
+    the obstruction group G_s N_s, an order-s twist beside a subgroup of N_s."""
+    n, m = ctx.n, ctx.order
+    small = [c for c in range(1, m + 1) if m % c == 0 and m // c <= 300]
+    scalar = [(rng.randrange(n), rng.randrange(m) * rng.choice(small) % m)
+              for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        return scalar
+    s = rng.choice([s for s in (2, 3) if n % s == 0])
+    step = ctx.q ** (n // s) - 1
+    twist = n // s * rng.randrange(1, s)
+    e = step * rng.randrange(m // step) if rng.random() < 0.5 else scalar[0][1]
+    return [(twist, e), (0, step * rng.choice([1, 1, 2, 3]) % m)]
+
+
+def test_criterion_matches_standardizing_oracle_on_large_fields():
+    rng = random.Random(20261020)
+    for fld in [(2, 1, 16), (3, 1, 8), (5, 1, 6)]:
+        ctx = make_field(*fld)
+        outcomes = set()
+        checked = 0
+        while checked < 16:
+            gens = _random_generators(rng, ctx)
+            if sl.subgroup_order(ctx, gens) > 3000:
+                continue
+            elements = sl.subgroup_closure(ctx, gens)
+            decision = sl.regular_orbit_criterion(ctx, elements, assume_subgroup=True)
+            assert decision == criterion_by_standardizing(ctx, elements), (fld, gens)
+            assert sl.outside_prime_orders(ctx, elements) == \
+                outside_prime_orders_by_scan(ctx, elements), (fld, gens)
+            outcomes.add(decision.has_regular_orbit)
+            checked += 1
+        assert outcomes == {True, False}, fld
+
+
+def test_criterion_on_listed_groups_without_assume_subgroup_is_fast():
+    ctx = make_field(2, 1, 10)
+    full = sl.full_group(ctx)
+    t0 = time.perf_counter()
+    decision = sl.regular_orbit_criterion(ctx, full)
+    assert time.perf_counter() - t0 < 1
+    assert decision == sl.RegularOrbitDecision(False, None, 2, 10 * 1023)
+    ctx = make_field(2, 1, 12)
+    all_but_one = sl.full_group(ctx)[:-1]
+    t0 = time.perf_counter()
+    with pytest.raises(NotASubgroup):
+        sl.regular_orbit_criterion(ctx, all_but_one)
+    assert time.perf_counter() - t0 < 2
+
+
+def test_criterion_reads_only_the_schreier_record(monkeypatch):
+    # no standardization, no listed norm-one subgroup, no element order
+    surveys = [(ctx, elements, criterion_by_standardizing(ctx, elements))
+               for ctx in (make_field(2, 1, 6), make_field(2, 2, 3), make_field(2, 3, 2))
+               for elements, _ in sl.small_subgroup_survey(ctx)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the criterion must read the Schreier record only")
+    for name in ("standardize_subgroup", "norm_one_subgroup", "element_order"):
+        monkeypatch.setattr(sl, name, forbidden)
+    for ctx, elements, expected in surveys:
+        assert sl.regular_orbit_criterion(ctx, elements) == expected
+
+
 def test_conjugate_count_of_elementary_abelian_square():
     # for odd s (the only case the odd-order machinery uses; s = 2 genuinely
     # violates this count, e.g. over GF(9)): the number of conjugates of
@@ -477,7 +566,8 @@ def test_smallest_regular_point_matches_point_scan():
     @hypothesis.given(subgroups())
     def check(drawn):
         ctx, elems = drawn
-        assert sl._smallest_regular_point(ctx, elems) == smallest_regular_point_by_scan(ctx, elems)
+        record = sl._record(ctx, elems)
+        assert sl._smallest_regular_point(ctx, *record) == smallest_regular_point_by_scan(ctx, elems)
     check()
 
 
@@ -487,7 +577,8 @@ def test_smallest_regular_point_without_twisted_fixed_points():
     ctx = make_field(3, 1, 2)
     reps, d = sl.schreier_kernel(ctx, [(1, 1)])
     assert d == 4 and sl.stabilized_residues(ctx, reps, d) == bytearray(4)
-    assert sl._smallest_regular_point(ctx, sl.subgroup_closure(ctx, [(1, 1)])) == 1
+    record = sl._record(ctx, sl.subgroup_closure(ctx, [(1, 1)]))
+    assert sl._smallest_regular_point(ctx, *record) == 1
 
 
 def test_subgroup_closure_matches_generic_closure():
