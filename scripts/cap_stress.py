@@ -3,7 +3,7 @@
     python scripts/cap_stress.py [--limit-gib 2] [--timeout 60] [case ...]
 
 Every case writes its input file to a temporary directory and runs one
-`orbitforge` subcommand in a child interpreter.  The child sets
+`orbitforge` subcommand in a child interpreter, in that directory.  The child sets
 RLIMIT_AS on itself before it imports orbitforge, so the limit acts on
 that child alone.  One line per case gives the exit code, the wall time
 and the child's ru_maxrss, and whether the case met its expectation:
@@ -74,6 +74,10 @@ CASES = {
                                     "field": {"p": 2}, "generators": [{"twist": 0, "scalar": 0}]},
                          {"ORBITFORGE_ELEMENT_CAP": "362879"}, 3),
     "gluck-degree-20": ("gluck", GLUCK_20, {}, 0),
+    # odd parts of drawn 12 x 12 GF(2) generators, once found by multiplying to the identity
+    "search-matrix-gf2^12": ("search", {"samples": 3, "seed": 7, "odd_order": True,
+                                        "templates": [{"kind": "matrix", "field": {"p": 2},
+                                                       "dim": 12}]}, {}, 0),
 }
 
 
@@ -84,7 +88,8 @@ def run_case(command, doc, env, limit, timeout, workdir):
     child_env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", **env)
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", CHILD, str(limit), command, str(path)],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env,
+                            cwd=workdir)  # search writes its counterexamples to ./results.jsonl
     while True:
         pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
         if pid:

@@ -144,16 +144,19 @@ class MatrixAction:
         g(x) + a*(column j of g).  For p = 2 the array doubles per coordinate
         by XOR with column j's code.  For odd p each tuple of high coordinates
         adds its image's digits to those of the low block (at most
-        max(p, 2^16) points), so no other temporary outgrows d x block."""
+        max(p, 2^16) points), so no other temporary outgrows d x block; when
+        the low block is the whole space, its digits are the image's."""
         p, d = self.p, self.dim
         mat = np.array(g, dtype=np.int64).reshape(d, d)
         weights = p ** np.arange(d, dtype=np.int64)
+        low = next((j for j in range(d, 0, -1) if p ** j <= 1 << 16), min(d, 1))
+        if p != 2 and low == d:
+            return weights @ _span_digits(mat, p)
         out = np.zeros(self.point_count, dtype=np.int64)
         if p == 2:
             for j, col in enumerate((weights @ mat).tolist()):
                 np.bitwise_xor(out[:1 << j], col, out=out[1 << j:2 << j])
             return out
-        low = next((j for j in range(d, 0, -1) if p ** j <= 1 << 16), min(d, 1))
         digits, highs = _span_digits(mat[:, :low], p), _span_digits(mat[:, low:], p)
         block = digits.shape[1]
         for h in range(highs.shape[1]):
@@ -535,6 +538,11 @@ class ActionInstance:
         record = self.meta.get("inner_schreier")
         return record or sl.schreier_kernel(self.backend.ctx, self.generators)
 
+    @cached_property
+    def _orbits(self):
+        """(reps, sizes) = _orbit_reps(self), kept until enumerate_orbits takes them."""
+        return _orbit_reps(self)
+
 
 # -- orbit enumeration --
 
@@ -572,7 +580,8 @@ def enumerate_orbits(instance: ActionInstance, workers: int = 1) -> OrbitReport:
     """
     del workers
     n_points = instance.point_count
-    reps, sizes = _orbit_reps(instance)  # checks the point cap before |G| is computed
+    reps, sizes = instance._orbits  # checks the point cap before |G| is computed
+    del instance._orbits  # so the arrays do not outlive the report
     order = instance.group_order
     by_length = np.argsort(sizes, kind="stable")  # reps ascend, so ties stay sorted
     lengths = tuple(sizes[by_length].tolist())

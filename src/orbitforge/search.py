@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from math import lcm
 
 from . import __version__ as VERSION
 from . import config as caps
@@ -20,6 +21,8 @@ from .action import (
     ActionInstance,
     MatrixAction,
     SemilinearAction,
+    _check_point_cap,
+    is_irreducible,
     mat_det,
     orbit_implication_report,
 )
@@ -27,7 +30,7 @@ from .constructions import WreathSpec, build_example1, build_example2, build_wre
 from .errors import CapExceeded, IntransitiveTop, SchemaError
 from .field import make_field
 from .permutation import compose_perm
-from .semilinear import IDENTITY, compose
+from .semilinear import compose, element_order
 from .specfile import _field_from, _int, instance_to_spec
 
 
@@ -105,17 +108,23 @@ def _validated_template(t) -> dict:
     return out
 
 
-def _odd_part_power(mul, identity, g):
+def _odd_part_power(mul, g, order: int):
     """g raised to the 2-part of its order, leaving the odd part."""
-    order = 1
-    acc = g
-    while acc != identity:
-        acc = mul(acc, g)
-        order += 1
     while order % 2 == 0:
         g = mul(g, g)
         order //= 2
     return g
+
+
+def _cycle_lcm(perm: list[int], starts) -> int:
+    """lcm of the lengths of the cycles of perm through the points starts."""
+    out = 1
+    for x in starts:
+        y, length = perm[x], 1
+        while y != x:
+            y, length = perm[y], length + 1
+        out = lcm(out, length)
+    return out
 
 
 def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
@@ -128,7 +137,7 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
         gens = [(rng.randrange(ctx.n), rng.randrange(max(ctx.order, 1)))
                 for _ in range(count)]
         if force_odd:
-            gens = [_odd_part_power(backend.mul, backend.identity, g) for g in gens]
+            gens = [_odd_part_power(backend.mul, g, element_order(ctx, g)) for g in gens]
         return ActionInstance(backend, gens)
     if kind == "matrix":
         p, dim = fld["p"], template["dim"]
@@ -140,8 +149,10 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
                 if mat_det(mat, dim, p) != 0:
                     break
             gens.append(mat)
-        if force_odd:
-            gens = [_odd_part_power(backend.mul, backend.identity, g) for g in gens]
+        if force_odd:  # only the identity fixes every e_j, of code p^j
+            _check_point_cap(backend.point_count)
+            gens = [_odd_part_power(backend.mul, g, _cycle_lcm(
+                backend.perm_array(g).tolist(), [p ** j for j in range(dim)])) for g in gens]
         return ActionInstance(backend, gens)
     ctx = make_field(fld["p"], fld["k"], fld["n"])
     m = template["m"]
@@ -149,13 +160,13 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
     for _ in range(count):
         g = (rng.randrange(ctx.n), rng.randrange(max(ctx.order, 1)))
         if force_odd:
-            g = _odd_part_power(lambda a, b: compose(ctx, a, b), IDENTITY, g)
+            g = _odd_part_power(lambda a, b: compose(ctx, a, b), g, element_order(ctx, g))
         inner.append(g)
     tops = []
     for _ in range(max(1, count - 1)):
         perm = tuple(rng.sample(range(m), m))
         if force_odd:
-            perm = _odd_part_power(compose_perm, tuple(range(m)), perm)
+            perm = _odd_part_power(compose_perm, perm, _cycle_lcm(perm, range(m)))
         tops.append(perm)
     return build_wreath(WreathSpec(ctx, tuple(inner), m, tuple(tops)))
 
@@ -163,12 +174,21 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
 def _kept_record(cfg: SearchConfig, instance: ActionInstance, index: int,
                  source: str) -> dict | None:
     """The instance's record if it passes the parity filters and acts
-    faithfully and irreducibly, else None."""
-    if cfg.odd_order is not None:
-        if (instance.group_order % 2 == 1) != bool(cfg.odd_order):
-            return None
+    faithfully and irreducibly, else None.  The characteristic is tested
+    first; a matrix group whose |G| needs chain_order is then swept once,
+    and rejected if reducible or, under odd_order, if an orbit length (a
+    divisor of |G|) is even.  Only then come |G|, its parity and the
+    orbit_implication_report, which reuses the sweep."""
     if cfg.odd_characteristic is not None:
-        if (instance.backend.characteristic % 2 == 1) != bool(cfg.odd_characteristic):
+        if (instance.backend.characteristic % 2 == 1) != cfg.odd_characteristic:
+            return None
+    if isinstance(instance.backend, MatrixAction) and instance.known_order is None:
+        reps, sizes = instance._orbits
+        if (cfg.odd_order and (sizes % 2 == 0).any()
+                or not is_irreducible(instance, reps=reps.tolist())):
+            return None
+    if cfg.odd_order is not None:
+        if (instance.group_order % 2 == 1) != cfg.odd_order:
             return None
     report = orbit_implication_report(instance)
     if not (report.faithful and report.irreducible):
@@ -184,9 +204,10 @@ def iter_search(cfg: SearchConfig, workers: int = 1, log=None):
     Known example constructions come first when include_examples is set
     (only those matching the parity filters); then seeded random samples
     until cfg.samples records are produced or the attempt budget runs out.
-    Each sample is decided once, by one orbit_implication_report, and its
-    record is yielded as soon as it is kept.  Cap violations are logged and
-    skipped, never fatal.  workers has no effect.
+    Each sample is swept once, and a matrix sample is tested on its sweep
+    before chain_order gives |G| (see _kept_record); a record is yielded as
+    soon as it is kept.  Cap violations are logged and skipped, never fatal.
+    workers has no effect.
     """
     del workers
     log = log if log is not None else sys.stderr

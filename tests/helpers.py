@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: products over Galois orbits, full
 point scans for stabilizers, closure-based orders, one loop step per field
-element, element-by-element orders, normalizer scans.  The library must
+element, element-by-element orders, normalizer scans, and the search's
+decision taken in its plainest order.  The library must
 agree with these, never the other way around.
 """
 
@@ -16,9 +17,16 @@ import numpy as np
 from orbitforge import constructions as C
 from orbitforge import field as F
 from orbitforge import semilinear as sl
-from orbitforge.action import MatrixAction, SemilinearAction, closure, mat_det
+from orbitforge.action import (
+    MatrixAction,
+    SemilinearAction,
+    closure,
+    mat_det,
+    orbit_implication_report,
+)
 from orbitforge.arith import is_prime
 from orbitforge.field import ZERO
+from orbitforge.specfile import instance_to_spec
 
 
 def norm_by_product(ctx, s, y):
@@ -263,3 +271,33 @@ def example2_generators_by_scan():
                     and C._coset_order_profile(cand, q_group, backend) == (1, 2, 2, 2, 3, 3)):
                 return a, b, n3, n2
     return None
+
+
+def kept_record_by_report(cfg, instance, index, source):
+    """The search's decision on one sample in its plainest order: the parity
+    of |G| from group_order, the characteristic, then the full report."""
+    if cfg.odd_order is not None:
+        if (instance.group_order % 2 == 1) != cfg.odd_order:
+            return None
+    if cfg.odd_characteristic is not None:
+        if (instance.backend.characteristic % 2 == 1) != cfg.odd_characteristic:
+            return None
+    report = orbit_implication_report(instance)
+    if not (report.faithful and report.irreducible):
+        return None
+    record = {"index": index, "source": source, "spec": instance_to_spec(instance)}
+    record.update(report.to_json_dict())
+    return record
+
+
+def odd_part_by_powers(mul, identity, g):
+    """g to the 2-part of its order, the order found by multiplying by g
+    until the identity."""
+    order, acc = 1, g
+    while acc != identity:
+        acc = mul(acc, g)
+        order += 1
+    while order % 2 == 0:
+        g = mul(g, g)
+        order //= 2
+    return g

@@ -1,14 +1,18 @@
 import io
 import json
+import random
 
 import pytest
 
 from orbitforge import search
 from orbitforge import semilinear as sl
-from orbitforge.errors import SchemaError
+from orbitforge.errors import IntransitiveTop, SchemaError
+from orbitforge.permutation import compose_perm
 from orbitforge.search import SearchConfig, iter_search, run_search
 from orbitforge.specfile import instance_from_spec
 from orbitforge import action as A
+
+from helpers import odd_part_by_powers
 
 ODD_ODD_TEMPLATES = [
     {"kind": "semilinear", "field": {"p": 3, "k": 1, "n": 4}},
@@ -225,3 +229,74 @@ def test_point_cap_skips_samples_and_never_stops_the_search(monkeypatch):
     skips = [line for line in log.getvalue().splitlines()
              if line.startswith("search: skipped a sample")]
     assert skips and all("point cap" in line for line in skips)
+
+
+def test_chain_order_runs_only_for_kept_matrix_samples(monkeypatch):
+    # odd-order generators in GL(2, 7) or GL(2, 5) have determinants of odd
+    # order, which excludes reflections (det -1), so the only involution they
+    # can generate is -I, and it makes every nonzero orbit even: a sample the
+    # sweep passes has odd order.  GL(2, 7) has no irreducible odd subgroup.
+    drawn, ordered = [], []
+    draw, chain = search._draw_instance, A.chain_order
+
+    def drawing(rng, template, *args, **kwargs):
+        drawn.append(template["field"]["p"])
+        return draw(rng, template, *args, **kwargs)
+
+    def recording(backend, generators):
+        ordered.append(tuple(generators))
+        return chain(backend, generators)
+
+    monkeypatch.setattr(search, "_draw_instance", drawing)
+    monkeypatch.setattr(A, "chain_order", recording)
+    cfg = SearchConfig.from_dict({"samples": 6, "seed": 4, "odd_order": True,
+                                  "odd_characteristic": True,
+                                  "templates": [{"kind": "matrix", "field": {"p": 7}, "dim": 2},
+                                                {"kind": "matrix", "field": {"p": 5}, "dim": 2}]})
+    records = list(iter_search(cfg, log=io.StringIO()))
+    assert len(records) == 6 and drawn.count(7) > 10
+    assert ordered == [instance_from_spec(rec["spec"]).generators for rec in records]
+
+
+def test_drawing_a_gf2_12_generator_takes_at_most_twelve_products(monkeypatch):
+    products = []
+    mat_mul = A.mat_mul
+    monkeypatch.setattr(A, "mat_mul", lambda *args: products.append(1) or mat_mul(*args))
+    template = {"kind": "matrix", "field": {"p": 2}, "dim": 12}
+    for seed in range(8):
+        products.clear()
+        search._draw_instance(random.Random(seed), template, (1, 1), force_odd=True)
+        assert len(products) <= 12
+
+
+ODD_PART_TEMPLATES = (
+    [{"kind": "matrix", "field": {"p": 2}, "dim": d} for d in range(1, 9)]
+    + [{"kind": "matrix", "field": {"p": 3}, "dim": d} for d in range(1, 5)]
+    + [{"kind": "semilinear", "field": {"p": 3, "k": 1, "n": 4}},
+       {"kind": "wreath", "field": {"p": 7, "k": 1, "n": 1}, "m": 5}])
+
+
+@pytest.mark.parametrize("template", ODD_PART_TEMPLATES,
+                         ids=lambda t: f"{t['kind']}-{t['field']['p']}-{t.get('dim', t.get('m'))}")
+def test_odd_parts_match_repeated_multiplication(template):
+    # the same seed draws the same generators with and without force_odd
+    compared = 0
+    for seed in range(20):
+        try:
+            plain, odd = (search._draw_instance(random.Random(seed), template, (1, 3), force_odd)
+                          for force_odd in (False, True))
+        except IntransitiveTop:  # a drawn top, or its odd part, need not be transitive
+            continue
+        if template["kind"] == "wreath":
+            spec, odd_spec = plain.meta["wreath_spec"], odd.meta["wreath_spec"]
+            inner = tuple(odd_part_by_powers(lambda a, b: sl.compose(spec.inner, a, b),
+                                             sl.IDENTITY, g) for g in spec.inner_gens)
+            tops = tuple(odd_part_by_powers(compose_perm, tuple(range(spec.m)), perm)
+                         for perm in spec.top_gens)
+            assert (odd_spec.inner_gens, odd_spec.top_gens) == (inner, tops)
+        else:
+            backend = plain.backend
+            assert odd.generators == tuple(odd_part_by_powers(backend.mul, backend.identity, g)
+                                           for g in plain.generators)
+        compared += 1
+    assert compared >= 5
