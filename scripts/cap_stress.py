@@ -74,6 +74,7 @@ CASES = {
                                     "field": {"p": 2}, "generators": [{"twist": 0, "scalar": 0}]},
                          {"ORBITFORGE_ELEMENT_CAP": "362879"}, 3),
     "gluck-degree-20": ("gluck", GLUCK_20, {}, 0),
+    "gluck-degree-20-point-cap": ("gluck", GLUCK_20, {"ORBITFORGE_POINT_CAP": str(2 ** 19)}, 3),
     # odd parts of drawn 12 x 12 GF(2) generators, once found by multiplying to the identity
     "search-matrix-gf2^12": ("search", {"samples": 3, "seed": 7, "odd_order": True,
                                         "templates": [{"kind": "matrix", "field": {"p": 2},

@@ -32,7 +32,6 @@ from .action import (
     closure,
     enumerate_orbits,
     has_p_regular_orbit,
-    is_faithful,
     is_irreducible,
     matrix_realization,
     orbit_implication_report,

@@ -488,18 +488,16 @@ def chain_order(backend, generators) -> int:
 class ActionInstance:
     """A finitely generated group with one of the three action backends.
 
-    known_order, when given, is trusted as |G|; elements are listed only on
-    access to the elements property, unless passed in.
+    known_order, when given, is trusted as |G|.
     """
 
     def __init__(self, backend, generators, known_order: int | None = None,
-                 elements=None, meta: dict | None = None):
+                 meta: dict | None = None):
         self.backend = backend
         self.generators = tuple(generators)
         for g in self.generators:
             backend.validate(g)
         self.known_order = known_order
-        self._elements = tuple(elements) if elements is not None else None
         self._order = None
         self.meta = meta or {}
 
@@ -512,20 +510,12 @@ class ActionInstance:
         return self.backend.point_count
 
     @property
-    def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = closure(self.backend, self.generators)
-        return self._elements
-
-    @property
     def group_order(self) -> int:
-        """|G|, once: known_order, else len(elements) if passed in, else backend.order."""
+        """|G|, once: known_order, else backend.order."""
         if self.known_order is not None:
             return self.known_order
         if self._order is None:
-            if self._elements is not None:
-                self._order = len(self._elements)
-            elif isinstance(self.backend, SemilinearAction):
+            if isinstance(self.backend, SemilinearAction):
                 self._order = sl.subgroup_order(self.backend.ctx, self.generators, self._schreier)
             else:
                 self._order = self.backend.order(self.generators)
@@ -726,35 +716,7 @@ def has_p_regular_orbit(report: OrbitReport, p: int) -> bool:
     return report.p_regular[p]
 
 
-# -- faithfulness and irreducibility --
-
-@dataclass
-class FaithfulnessReport:
-    faithful: bool
-    kernel: tuple  # all elements acting as the identity on V (at least the identity)
-
-
-def acts_trivially(backend, g) -> bool:
-    """Does g fix every point?  Equivalent to g being the identity element
-    for all three backends, which tests cross-check against full scans."""
-    return g == backend.identity
-
-
-def is_faithful(instance: ActionInstance) -> FaithfulnessReport:
-    """Kernel of the action and whether it is trivial.
-
-    The backends here are concrete transformations, so an element acts
-    trivially exactly when it is the identity element; the kernel therefore
-    never needs the closure.  When the closure is already materialized it
-    is scanned anyway, as a self-check.
-    """
-    backend = instance.backend
-    if instance._elements is not None:
-        kernel = tuple(g for g in instance._elements if acts_trivially(backend, g))
-    else:
-        kernel = (backend.identity,)
-    return FaithfulnessReport(faithful=len(kernel) == 1, kernel=kernel)
-
+# -- irreducibility --
 
 def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> bool:
     """No proper nonzero GF(p)-subspace is invariant under all generators.
@@ -855,7 +817,10 @@ class ImplicationReport:
 
     is_counterexample is True exactly when the action is faithful and
     irreducible, every prime dividing the group order has a p-regular
-    orbit, and yet no regular orbit exists.
+    orbit, and yet no regular orbit exists.  faithful is always True: every
+    backend is a concrete transformation of its points, and only the
+    identity element fixes every point, which the tests check against full
+    permutation arrays.
     """
     group_order: int
     faithful: bool
@@ -890,19 +855,18 @@ def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> Impl
     representatives, so the points are swept once.  workers has no effect."""
     del workers
     report = enumerate_orbits(instance)
-    faithful = is_faithful(instance).faithful
     irreducible = is_irreducible(instance, reps=[rep for _, rep, _ in report.orbits])
     primes = tuple(prime_factors(report.group_order))
     all_p = all(report.p_regular[p] for p in primes)
     return ImplicationReport(
         group_order=report.group_order,
-        faithful=faithful,
+        faithful=True,
         irreducible=irreducible,
         primes=primes,
         p_regular=dict(report.p_regular),
         all_p_regular=all_p,
         regular_exists=report.regular_exists,
-        is_counterexample=faithful and irreducible and all_p and not report.regular_exists,
+        is_counterexample=irreducible and all_p and not report.regular_exists,
         odd_order=report.group_order % 2 == 1,
         odd_characteristic=instance.backend.characteristic % 2 == 1,
         orbit_lengths=report.orbit_lengths,
@@ -912,7 +876,6 @@ def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> Impl
 __all__ = [
     "SemilinearAction", "MatrixAction", "WreathAction", "ActionInstance",
     "closure", "chain_order", "OrbitReport", "enumerate_orbits", "has_p_regular_orbit",
-    "FaithfulnessReport", "is_faithful", "acts_trivially",
     "is_irreducible", "matrix_realization",
     "ImplicationReport", "orbit_implication_report",
     "mat_identity", "mat_mul", "mat_det", "mat_inv", "mat_kron",

@@ -135,11 +135,10 @@ def build_example2() -> ActionInstance:
     backend4 = MatrixAction(p, dim * dim)
     gens = [mat_kron(h, ident, dim, dim, p) for h in h_gens]
     gens += [mat_kron(ident, h, dim, dim, p) for h in h_gens]
-    elements = closure(backend4, gens)
-    if len(elements) != 1152:
-        raise ConstructionFailed(f"central product has order {len(elements)}, expected 1152")
-    instance = ActionInstance(backend4, gens, known_order=1152, elements=elements,
-                              meta={"inner_generators": h_gens})
+    order = len(closure(backend4, gens))
+    if order != 1152:
+        raise ConstructionFailed(f"central product has order {order}, expected 1152")
+    instance = ActionInstance(backend4, gens, known_order=1152, meta={"inner_generators": h_gens})
     _EXAMPLE2_CACHE.append(instance)
     return instance
 

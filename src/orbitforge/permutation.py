@@ -3,7 +3,10 @@
 Permutations on m points are tuples of images on 0..m-1 internally; the
 serialized form is the 1-indexed one-line image list, e.g. [2, 3, 1] for
 the 3-cycle.  Subsets of the point set are bitmasks with bit i standing
-for point i+1, so the "smallest subset" is the smallest mask.
+for point i+1, so the "smallest subset" is the smallest mask.  A mask is
+also a vector of GF(2)^degree, bit i its coordinate i, on which g acts by
+its permutation matrix; power-set orbits are that matrix group's orbits,
+found by the orbit sweep of action under its point cap.
 """
 
 from dataclasses import dataclass, field
@@ -51,6 +54,8 @@ class PermGroup:
     _elements: tuple[Perm, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"degree {self.degree} is negative")
         self.generators = tuple(tuple(g) for g in self.generators)
         for g in self.generators:
             self.validate(g)
@@ -128,19 +133,28 @@ def set_stabilizer_is_trivial(group: PermGroup, mask: int) -> bool:
     return all(subset_image(p, mask) != mask for p in group.elements if p != ident)
 
 
+def _regular_subset_masks(group: PermGroup):
+    """Least masks, ascending, of the subset orbits of length |G|: those of
+    the sets with a trivial set-stabilizer.  g's GF(2) permutation matrix
+    (column j is e_g(j)) moves mask codes as subset_image(g, .) does."""
+    if group.degree > SUBSET_SCAN_DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"degree {group.degree} exceeds the subset-scan cap {SUBSET_SCAN_DEGREE_CAP}")
+    from .action import ActionInstance, MatrixAction, _orbit_reps  # action imports this module
+    d = group.degree
+    mats = [tuple(int(g[c] == r) for r in range(d) for c in range(d)) for g in group.generators]
+    reps, sizes = _orbit_reps(ActionInstance(MatrixAction(2, d), mats, known_order=group.order))
+    return reps[sizes == group.order]
+
+
 def power_set_regular_orbit(group: PermGroup) -> tuple[int, ...] | None:
     """Smallest subset (binary-encoding order) with trivial set-stabilizer.
 
     Returns the subset as a sorted tuple of 1-indexed points, or None when
     no subset of the power set has a trivial stabilizer.
     """
-    if group.degree > SUBSET_SCAN_DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"degree {group.degree} exceeds the subset-scan cap {SUBSET_SCAN_DEGREE_CAP}")
-    for mask in range(1 << group.degree):
-        if set_stabilizer_is_trivial(group, mask):
-            return mask_to_points(mask)
-    return None
+    masks = _regular_subset_masks(group)
+    return mask_to_points(int(masks[0])) if len(masks) else None
 
 
 def mask_to_points(mask: int) -> tuple[int, ...]:
@@ -157,22 +171,19 @@ def points_to_mask(points) -> int:
 def trivial_stabilizer_partition(group: PermGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split the point set into nonempty A1, A2 with Stab(A1) trivial.
 
-    Scans subsets in binary-encoding order, skipping the empty and full
-    sets, and returns the first A1 whose set-stabilizer is trivial.  For
-    odd-order transitive groups one always exists; a failure therefore
-    raises NoPartitionFound.
+    A1 is the smallest subset in binary-encoding order, other than the
+    empty and full sets, whose set-stabilizer is trivial.  For odd-order
+    transitive groups one always exists; a failure therefore raises
+    NoPartitionFound.
     """
     if group.order % 2 == 0:
         raise EvenOrder(f"group order {group.order} is even")
-    if group.degree > SUBSET_SCAN_DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"degree {group.degree} exceeds the subset-scan cap {SUBSET_SCAN_DEGREE_CAP}")
     full = (1 << group.degree) - 1
-    for mask in range(1, full):
-        if set_stabilizer_is_trivial(group, mask):
-            return mask_to_points(mask), mask_to_points(full ^ mask)
-    raise NoPartitionFound(
-        f"no proper subset of {group.degree} points has a trivial stabilizer")
+    mask = next((int(m) for m in _regular_subset_masks(group) if 0 < m < full), None)
+    if mask is None:
+        raise NoPartitionFound(
+            f"no proper subset of {group.degree} points has a trivial stabilizer")
+    return mask_to_points(mask), mask_to_points(full ^ mask)
 
 
 __all__ = [

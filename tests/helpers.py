@@ -16,6 +16,7 @@ import numpy as np
 
 from orbitforge import constructions as C
 from orbitforge import field as F
+from orbitforge import permutation as P
 from orbitforge import semilinear as sl
 from orbitforge.action import (
     MatrixAction,
@@ -25,6 +26,7 @@ from orbitforge.action import (
     orbit_implication_report,
 )
 from orbitforge.arith import is_prime
+from orbitforge.errors import DegreeCapExceeded, EvenOrder, NoPartitionFound
 from orbitforge.field import ZERO
 from orbitforge.specfile import instance_to_spec
 
@@ -301,3 +303,28 @@ def odd_part_by_powers(mul, identity, g):
         g = mul(g, g)
         order //= 2
     return g
+
+
+def power_set_regular_orbit_by_scan(group):
+    """The least mask with a trivial set-stabilizer, by testing each mask
+    against every listed element."""
+    if group.degree > P.SUBSET_SCAN_DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {group.degree} exceeds the subset-scan cap")
+    for mask in range(1 << group.degree):
+        if P.set_stabilizer_is_trivial(group, mask):
+            return P.mask_to_points(mask)
+    return None
+
+
+def trivial_stabilizer_partition_by_scan(group):
+    """The least proper nonempty mask with a trivial set-stabilizer and its
+    complement, by testing each mask against every listed element."""
+    if group.order % 2 == 0:
+        raise EvenOrder(f"group order {group.order} is even")
+    if group.degree > P.SUBSET_SCAN_DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {group.degree} exceeds the subset-scan cap")
+    full = (1 << group.degree) - 1
+    for mask in range(1, full):
+        if P.set_stabilizer_is_trivial(group, mask):
+            return P.mask_to_points(mask), P.mask_to_points(full ^ mask)
+    raise NoPartitionFound(f"no proper subset of {group.degree} points has a trivial stabilizer")

@@ -48,7 +48,7 @@ def artifact_c2(workers: int) -> dict[int, str]:
     inst = C.build_example1()
     rep = A.enumerate_orbits(inst, workers=workers)
     doc = rep.to_json_dict()
-    doc["faithful"] = A.is_faithful(inst).faithful
+    doc["faithful"] = A.orbit_implication_report(inst).faithful
     doc["irreducible"] = A.is_irreducible(inst)
     return {2: canon(doc)}
 
@@ -93,7 +93,7 @@ def artifact_c45(workers: int) -> dict[int, str]:
         for elements, gens in sl.small_subgroup_survey(ctx):
             decision = sl.regular_orbit_criterion(ctx, elements, assume_subgroup=True,
                                                   workers=workers)
-            inst = A.ActionInstance(A.SemilinearAction(ctx), list(gens), elements=elements)
+            inst = A.ActionInstance(A.SemilinearAction(ctx), list(gens), known_order=len(elements))
             oracle = A.enumerate_orbits(inst, workers=workers)
             assert decision.has_regular_orbit == oracle.regular_exists, (p, k, n, gens)
             agreement.append({

@@ -23,7 +23,7 @@ def semilinear_instance(p, k, n, gens):
 
 def test_closure_identity_only():
     inst = semilinear_instance(2, 1, 2, [(0, 0)])
-    assert inst.elements == ((0, 0),)
+    assert A.closure(inst.backend, inst.generators) == ((0, 0),)
     assert inst.group_order == 1
 
 
@@ -31,7 +31,7 @@ def test_closure_full_gamma():
     ctx = make_field(2, 1, 4)
     inst = A.ActionInstance(A.SemilinearAction(ctx), [(1, 0), (0, 1)])
     assert inst.group_order == 4 * 15
-    assert inst.elements == sl.full_group(ctx)
+    assert A.closure(inst.backend, inst.generators) == sl.full_group(ctx)
 
 
 def test_closure_cap(monkeypatch):
@@ -222,29 +222,35 @@ def test_has_p_regular_orbit_vacuous_prime():
 
 def test_faithful_minus_identity_matrix():
     inst = A.ActionInstance(A.MatrixAction(7, 2), [(6, 0, 0, 6)])
-    rep = A.is_faithful(inst)
-    assert rep.faithful and rep.kernel == (A.mat_identity(2),)
-    assert len(inst.elements) == 2
+    assert A.orbit_implication_report(inst).faithful
+    assert len(A.closure(inst.backend, inst.generators)) == 2
 
 
 def test_faithful_kernel_contains_trivial_generator():
     ctx = make_field(2, 1, 2)
     backend = A.WreathAction(ctx, 3)
     inst = A.ActionInstance(backend, [backend.identity])
-    rep = A.is_faithful(inst)
-    assert backend.identity in rep.kernel
+    rep = A.orbit_implication_report(inst)
+    assert rep.group_order == 1
     assert rep.faithful  # the kernel is exactly the identity
 
 
 def test_acts_trivially_matches_full_scan():
+    # ImplicationReport.faithful is always True because of this: on every
+    # backend only the identity element fixes every point
+    ctx4 = make_field(2, 1, 2)
+    wreath = A.WreathAction(ctx4, 2)
     for inst in [
         semilinear_instance(2, 1, 3, [(1, 0), (0, 1)]),
         A.ActionInstance(A.MatrixAction(3, 2), [(0, 2, 1, 0), (2, 0, 0, 2)]),
+        A.ActionInstance(A.MatrixAction(7, 2), [(6, 0, 0, 6)]),  # -I in GL(2, 7)
+        build_wreath(WreathSpec(ctx4, ((1, 1),), 2, ((1, 0),))),
+        A.ActionInstance(wreath, [(((1, 0), (0, 0)), (0, 1)), (((0, 1), (0, 0)), (1, 0))]),
     ]:
         ident = np.arange(inst.point_count)
-        for g in inst.elements:
+        for g in A.closure(inst.backend, inst.generators):
             brute = bool(np.array_equal(inst.backend.perm_array(g), ident))
-            assert brute == A.acts_trivially(inst.backend, g)
+            assert brute == (g == inst.backend.identity)
 
 
 def test_irreducible_examples():

@@ -233,6 +233,21 @@ def test_gluck_none_for_even_group(tmp_path, capsys):
     assert json.loads(out)["witness"] is None
 
 
+@pytest.mark.parametrize("degree", [-1, -2])
+def test_gluck_negative_degree_exits_2(tmp_path, capsys, degree):
+    spec = {"degree": degree, "generators": []}
+    code, out, err = run_cli(["gluck", write(tmp_path, "p.json", spec)], capsys)
+    assert code == 2 and out == "" and "negative" in err and "Traceback" not in err
+
+
+def test_gluck_obeys_the_point_cap(tmp_path, capsys, monkeypatch):
+    # the power set of 6 points is 64 vectors of GF(2)^6, over a cap of 32
+    monkeypatch.setenv("ORBITFORGE_POINT_CAP", "32")
+    spec = {"degree": 6, "generators": [[2, 3, 4, 5, 6, 1]]}
+    code, out, err = run_cli(["gluck", write(tmp_path, "p.json", spec)], capsys)
+    assert code == 3 and out == "" and "point cap" in err
+
+
 def test_search_cli(tmp_path, capsys):
     cfg = {"samples": 4, "seed": 9, "odd_order": True, "odd_characteristic": True,
            "templates": [{"kind": "wreath", "field": {"p": 11}, "m": 3}]}

@@ -86,7 +86,7 @@ def test_example1_claims():
     inst = C.build_example1()
     rep = A.enumerate_orbits(inst)
     assert rep.group_order == 1215 and rep.point_count == 1024
-    assert A.is_faithful(inst).faithful
+    assert A.orbit_implication_report(inst).faithful
     assert A.is_irreducible(inst)
     assert A.has_p_regular_orbit(rep, 3) and A.has_p_regular_orbit(rep, 5)
     assert not rep.regular_exists
@@ -102,7 +102,7 @@ def test_example2_golden():
     rep = A.enumerate_orbits(inst)
     assert rep.orbit_lengths == (1, 48, 48, 48, 144, 144, 144, 192, 192, 192, 288, 288, 288, 384)
     assert sum(rep.orbit_lengths) == 2401
-    assert A.is_faithful(inst).faithful and A.is_irreducible(inst)
+    assert A.orbit_implication_report(inst).faithful and A.is_irreducible(inst)
     assert rep.p_regular == {2: True, 3: True}
     assert not rep.regular_exists
 

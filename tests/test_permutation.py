@@ -1,7 +1,15 @@
+import random
+
 import pytest
 
+from orbitforge import action as A
 from orbitforge import permutation as P
-from orbitforge.errors import DegreeCapExceeded, EvenOrder
+from orbitforge.errors import DegreeCapExceeded, EvenOrder, NoPartitionFound
+
+from helpers import power_set_regular_orbit_by_scan, trivial_stabilizer_partition_by_scan
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def test_one_line_round_trip():
@@ -83,3 +91,52 @@ def test_partition_even_order_rejected():
     s3 = P.PermGroup(3, (P.perm_from_one_line([2, 1, 3]), P.perm_from_one_line([2, 3, 1])))
     with pytest.raises(EvenOrder):
         P.trivial_stabilizer_partition(s3)
+
+
+def test_permutation_matrix_moves_masks_like_subset_image():
+    # column j of g's matrix is e_g(j), so GF(2)-vector codes move as subsets do
+    rng = random.Random(3)
+    for d in range(11):
+        points = list(range(d))
+        rng.shuffle(points)
+        g = tuple(points)
+        mat = tuple(int(g[col] == row) for row in range(d) for col in range(d))
+        images = A.MatrixAction(2, d).perm_array(mat).tolist()
+        assert images == [P.subset_image(g, mask) for mask in range(1 << d)]
+
+
+def outcome(func, group):
+    try:
+        return func(group)
+    except Exception as exc:  # the error type is part of the contract
+        return type(exc)
+
+
+S3 = P.PermGroup(3, (P.perm_from_one_line([2, 1, 3]), P.perm_from_one_line([2, 3, 1])))
+
+
+@pytest.mark.parametrize("group", [
+    P.PermGroup(0, ()), P.PermGroup(1, ((0,),)), S3, P.cyclic_wreath(3, 3)])
+def test_sweep_matches_scan_pinned(group):
+    for func, oracle in [(P.power_set_regular_orbit, power_set_regular_orbit_by_scan),
+                         (P.trivial_stabilizer_partition, trivial_stabilizer_partition_by_scan)]:
+        assert outcome(func, group) == outcome(oracle, group)
+
+
+@st.composite
+def perm_groups(draw):
+    d = draw(st.integers(0, 9))
+    gens = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    return P.PermGroup(d, tuple(gens))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(perm_groups())
+def test_sweep_matches_scan(group):
+    # a low element cap keeps each listing short; both sides list, so both raise alike
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ORBITFORGE_ELEMENT_CAP", "5000")
+        for func, oracle in [(P.power_set_regular_orbit, power_set_regular_orbit_by_scan),
+                             (P.trivial_stabilizer_partition,
+                              trivial_stabilizer_partition_by_scan)]:
+            assert outcome(func, group) == outcome(oracle, group)
