@@ -40,7 +40,9 @@ y = sign_pairing_witness(instance, z, partition)
 print("base-regular z =", [F.to_integer(ctx, v) for v in z],
       "-> witness y =", [F.to_integer(ctx, v) for v in y])
 
+# scan the whole group for elements fixing y, reading each element's image
+# of y off its permutation array of the 11^3 points
 code = sum((yi + 1) * 11 ** i for i, yi in enumerate(y))
 stabilizer = [g for g in closure(instance.backend, instance.generators)
-              if instance.backend.act(g, code) == code]
+              if instance.backend.perm_array(g)[code] == code]
 print("full-group stabilizer of y:", stabilizer, "(identity only)")

@@ -31,7 +31,6 @@ from .action import (
     WreathAction,
     closure,
     enumerate_orbits,
-    has_p_regular_orbit,
     is_irreducible,
     matrix_realization,
     orbit_implication_report,

@@ -21,8 +21,9 @@ wreath instances without their construction data sweep every point.
 Reports are canonical: each orbit is represented by its least point code,
 orbits are sorted by (length, representative), lengths ascending.
 Stabilizer orders come from |G| / |orbit|, never from explicit stabilizer
-computation, and |G| comes from each backend's order(generators), never
-from listing the group.
+computation, and |G| comes from a semilinear group's Schreier record or
+the other backends' order(generators), never from listing the group.
+Points move only through perm_array, the images of every point at once.
 """
 
 import operator
@@ -39,7 +40,6 @@ from .errors import (
     ElementCapExceeded,
     NotInGqn,
     PointCapExceeded,
-    UnsupportedBackend,
 )
 from .field import ZERO, FieldContext
 from . import field as field_ops
@@ -69,19 +69,8 @@ class SemilinearAction:
     def mul(self, a, b):
         return sl.compose(self.ctx, a, b)
 
-    def inv(self, a):
-        return sl.inverse(self.ctx, a)
-
-    def act(self, g, code: int) -> int:
-        v = ZERO if code == 0 else code - 1
-        w = sl.apply_map(self.ctx, g, v)
-        return 0 if w == ZERO else w + 1
-
     def perm_array(self, g) -> np.ndarray:
         return _code_table(self.ctx, g, self.ctx.order)
-
-    def order(self, generators) -> int:
-        return sl.subgroup_order(self.ctx, generators)
 
     def matrix_dim(self) -> int:
         return self.ctx.degree
@@ -120,24 +109,6 @@ class MatrixAction:
 
     def inv(self, a):
         return mat_inv(a, self.dim, self.p)
-
-    def act(self, g, code: int) -> int:
-        p, d = self.p, self.dim
-        vec = []
-        rest = code
-        for _ in range(d):
-            vec.append(rest % p)
-            rest //= p
-        out = 0
-        w = 1
-        for i in range(d):
-            acc = 0
-            row = g[i * d:(i + 1) * d]
-            for j in range(d):
-                acc += row[j] * vec[j]
-            out += (acc % p) * w
-            w *= p
-        return out
 
     def perm_array(self, g) -> np.ndarray:
         """Image codes of all point codes, by linearity: x + a*p^j goes to
@@ -208,32 +179,6 @@ class WreathAction:
         ctx = self.inner
         comps = tuple(sl.compose(ctx, ga[pb[j]], gb[j]) for j in range(self.m))
         return (comps, compose_perm(pa, pb))
-
-    def inv(self, a):
-        comps, perm = a
-        ctx = self.inner
-        pinv = inverse_perm(perm)
-        return (tuple(sl.inverse(ctx, comps[pinv[j]]) for j in range(self.m)), pinv)
-
-    def act(self, g, code: int) -> int:
-        comps, perm = g
-        f = self.inner.size
-        blocks = []
-        rest = code
-        for _ in range(self.m):
-            blocks.append(rest % f)
-            rest //= f
-        out = 0
-        w = 1
-        pinv = inverse_perm(perm)
-        for i in range(self.m):
-            j = pinv[i]
-            c = blocks[j]
-            v = ZERO if c == 0 else c - 1
-            img = sl.apply_map(self.inner, comps[j], v)
-            out += (0 if img == ZERO else img + 1) * w
-            w *= f
-        return out
 
     def perm_array(self, g) -> np.ndarray:
         # block j's image lands in block perm[j]
@@ -511,7 +456,7 @@ class ActionInstance:
 
     @property
     def group_order(self) -> int:
-        """|G|, once: known_order, else backend.order."""
+        """|G|, once: known_order, else the Schreier record or backend.order."""
         if self.known_order is not None:
             return self.known_order
         if self._order is None:
@@ -709,13 +654,6 @@ def _sweep(n_points: int, perms) -> tuple[np.ndarray, int]:
             return label, rounds
 
 
-def has_p_regular_orbit(report: OrbitReport, p: int) -> bool:
-    """Is some orbit's stabilizer order coprime to p?  True if p ∤ |G|."""
-    if report.group_order % p != 0:
-        return True
-    return report.p_regular[p]
-
-
 # -- irreducibility --
 
 def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> bool:
@@ -732,8 +670,6 @@ def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> b
     invariant.  Every path checks the point cap first, as _orbit_reps does.
     """
     backend, gens = instance.backend, instance.generators
-    if not hasattr(backend, "matrix_of"):
-        raise UnsupportedBackend(f"irreducibility undefined for {backend!r}")
     _check_point_cap(instance.point_count)
     spec = instance.meta.get("wreath_spec")
     if isinstance(backend, WreathAction) and spec is not None:
@@ -802,8 +738,6 @@ def matrix_realization(instance: ActionInstance) -> ActionInstance:
     backend = instance.backend
     if isinstance(backend, MatrixAction):
         return instance
-    if not hasattr(backend, "matrix_of"):
-        raise UnsupportedBackend(f"no matrix realization for {backend!r}")
     target = MatrixAction(backend.characteristic, backend.matrix_dim())
     gens = [backend.matrix_of(g) for g in instance.generators]
     return ActionInstance(target, gens, known_order=instance.known_order)
@@ -875,7 +809,7 @@ def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> Impl
 
 __all__ = [
     "SemilinearAction", "MatrixAction", "WreathAction", "ActionInstance",
-    "closure", "chain_order", "OrbitReport", "enumerate_orbits", "has_p_regular_orbit",
+    "closure", "chain_order", "OrbitReport", "enumerate_orbits",
     "is_irreducible", "matrix_realization",
     "ImplicationReport", "orbit_implication_report",
     "mat_identity", "mat_mul", "mat_det", "mat_inv", "mat_kron",

@@ -36,7 +36,7 @@ from .errors import (
 from .field import check_field_args, smallest_primitive_polynomial
 from .permutation import PermGroup, is_transitive, perm_from_one_line, power_set_regular_orbit
 from .search import SearchConfig, run_search
-from .semilinear import regular_orbit_criterion, subgroup_closure
+from .semilinear import _criterion
 from .specfile import _int, dumps_canonical, load_spec_path
 
 EXIT_OK = 0
@@ -112,9 +112,7 @@ def cmd_prop2(args) -> int:
     instance = load_spec_path(args.spec)
     if not isinstance(instance.backend, SemilinearAction):
         raise SchemaError("prop2 needs a semilinear group spec")
-    ctx = instance.backend.ctx
-    subgroup = subgroup_closure(ctx, instance.generators)
-    decision = regular_orbit_criterion(ctx, subgroup, assume_subgroup=True)
+    decision = _criterion(instance.backend.ctx, *instance._schreier)  # the sweep's record too
     oracle = enumerate_orbits(instance)
     agrees = oracle.regular_exists == decision.has_regular_orbit
     out = decision.to_json_dict()

@@ -21,6 +21,7 @@ from .action import (
     mat_identity,
     mat_kron,
 )
+from .arith import prime_factors
 from .errors import (
     BaseStabilizerNontrivial,
     ConstructionFailed,
@@ -87,7 +88,7 @@ def build_wreath(spec: WreathSpec) -> ActionInstance:
     gens += [(tuple([sl.IDENTITY] * spec.m), tuple(p)) for p in top.generators]
     return ActionInstance(backend, gens, known_order=order,
                           meta={"wreath_spec": spec, "inner_order": inner_order,
-                                "top_order": top.order, "inner_schreier": record})
+                                "inner_schreier": record})
 
 
 def build_example1() -> ActionInstance:
@@ -231,13 +232,13 @@ def wolf_family(p: int, k: int, n: int, m: int, workers: int = 1) -> tuple[Actio
     c_rep = sum(1 * size ** i for i in range(m))  # all-ones vector, minimal in C
     c_entry = next((o for o in report.orbits if o[1] == c_rep), None)
     c_ok = c_entry is not None and c_entry[0] == c_size == order // m
-    c_primes = tuple(q for q in _prime_list(size - 1))
+    c_primes = tuple(prime_factors(size - 1))
     c_ok = c_ok and all(c_entry[2] % q != 0 for q in c_primes)
 
     d_size = m * (size - 1)
     d_entry = next((o for o in report.orbits if o[1] == 1), None)  # (g^0, 0, ..., 0)
     d_ok = d_entry is not None and d_entry[0] == d_size
-    d_primes = tuple(q for q in _prime_list(m))
+    d_primes = tuple(prime_factors(m))
     d_ok = d_ok and all(d_entry[2] % q != 0 for q in d_primes)
 
     record = WolfRecord(
@@ -248,11 +249,6 @@ def wolf_family(p: int, k: int, n: int, m: int, workers: int = 1) -> tuple[Actio
         regular_exists=report.regular_exists,
     )
     return instance, record
-
-
-def _prime_list(x: int) -> list[int]:
-    from .arith import prime_factors
-    return prime_factors(x)
 
 
 # -- sign pairing --

@@ -474,15 +474,20 @@ def regular_orbit_criterion(ctx: FieldContext, maps, assume_subgroup: bool = Fal
     ConstructionFailed if the two disagree.  workers has no effect.
     """
     del workers
-    elems = _as_subgroup(ctx, maps, assume_subgroup)
-    reps, d = _record(ctx, elems)
+    return _criterion(ctx, *_record(ctx, _as_subgroup(ctx, maps, assume_subgroup)))
+
+
+def _criterion(ctx: FieldContext, reps, d: int) -> RegularOrbitDecision:
+    """regular_orbit_criterion on a record (reps, d) from _record or schreier_kernel;
+    the cosets u_t K, and so the answer, do not depend on which u_t is kept."""
     witness = _smallest_regular_point(ctx, reps, d)
     failing = next((s for s in _outside_primes(ctx, reps, d)
                     if (ctx.q ** (ctx.n // s) - 1) % d == 0), None)
     if (witness is None) == (failing is None):
         raise ConstructionFailed(f"failing prime {failing} and smallest regular point "
                                  f"{witness} contradict each other")
-    return RegularOrbitDecision(failing is None, witness, failing, len(elems))
+    return RegularOrbitDecision(failing is None, witness, failing,
+                                len(reps) * (max(ctx.order, 1) // d))
 
 
 @dataclass(frozen=True)

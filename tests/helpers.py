@@ -1,10 +1,10 @@
 """Independent oracles shared by the test modules.
 
-Everything here is deliberately naive: products over Galois orbits, full
-point scans for stabilizers, closure-based orders, one loop step per field
-element, element-by-element orders, normalizer scans, and the search's
-decision taken in its plainest order.  The library must
-agree with these, never the other way around.
+Everything here is deliberately naive: per-point actions by formula,
+products over Galois orbits, full point scans for stabilizers,
+closure-based orders, one loop step per field element, element-by-element
+orders, normalizer scans, and the search's decision taken in its plainest
+order.  The library must agree with these, never the other way around.
 """
 
 import os
@@ -94,8 +94,30 @@ def brute_force_has_regular_orbit(ctx, elems) -> bool:
     return False
 
 
+def act_by_formula(backend, g, code):
+    """The image code of one point under g, from the backend's defining
+    formula rather than its permutation array: a matrix acts on the base-p
+    digits of the code, a semilinear map on the field element g^(code-1),
+    and a wreath element's inner map j moves block j into block perm[j]."""
+    if isinstance(backend, MatrixAction):
+        p, d = backend.p, backend.dim
+        vec = [code // p ** j % p for j in range(d)]
+        return sum(sum(g[i * d + j] * vec[j] for j in range(d)) % p * p ** i for i in range(d))
+    if isinstance(backend, SemilinearAction):
+        ctx, comps, perm = backend.ctx, (g,), (0,)
+    else:
+        ctx, (comps, perm) = backend.inner, g
+    f = ctx.size
+    out = 0
+    for j, c in enumerate(comps):
+        x = code // f ** j % f
+        w = sl.apply_map(ctx, c, ZERO if x == 0 else x - 1)
+        out += (0 if w == ZERO else w + 1) * f ** perm[j]
+    return out
+
+
 def point_stabilizer(backend, elements, code):
-    return [g for g in elements if backend.act(g, code) == code]
+    return [g for g in elements if act_by_formula(backend, g, code) == code]
 
 
 def smallest_regular_point_by_scan(ctx, elems):
@@ -131,13 +153,13 @@ def all_points(ctx):
 
 
 def scalar_orbit(instance, seed):
-    """The orbit of seed, walked through backend.act alone."""
+    """The orbit of seed, walked through act_by_formula alone."""
     orbit = {seed}
     frontier = [seed]
     while frontier:
         x = frontier.pop()
         for g in instance.generators:
-            y = instance.backend.act(g, x)
+            y = act_by_formula(instance.backend, g, x)
             if y not in orbit:
                 orbit.add(y)
                 frontier.append(y)
@@ -145,7 +167,7 @@ def scalar_orbit(instance, seed):
 
 
 def orbit_lengths_by_scalar_bfs(instance):
-    """Sorted orbit lengths from a point-by-point sweep through backend.act."""
+    """Sorted orbit lengths from a point-by-point sweep through act_by_formula."""
     seen = set()
     lengths = []
     for seed in range(instance.point_count):

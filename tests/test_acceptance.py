@@ -8,6 +8,7 @@ Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -27,13 +28,34 @@ from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.field import make_field
 from orbitforge.search import SearchConfig, iter_search
 
+from helpers import act_by_formula
+
 GOLDEN_EXAMPLE2 = (1, 48, 48, 48, 144, 144, 144, 192, 192, 192, 288, 288, 288, 384)
 
 ARTIFACTS: dict[int, str] = {}
 
+# sha256 of each criterion's artifact, pinned: a changed artifact fails its criterion
+GOLDEN_SHA256 = {
+    1: "6d85daeaedb2027ac45c82e8e0fc6b74e4fc0cde6935536b6d2fb51f386f4e5e",
+    2: "76bd50f6cb16f30c344d3ed151cf10614a7a07d712f10b132cdb7be85ec95f03",
+    3: "206e60a308f972388edfddc33b016dd43272c4874291c153a336be07d1586fae",
+    4: "1ce0b8f52e318bab4a18645eb736b1c40df45bf9ef65ae3d70109d9ead7cf21f",
+    5: "045501d0ddc1cf34833f43fa25ac542a23ba44a0a49b969319af4c1f978474c7",
+    6: "26e3175e346ceaf2c6e701db1fa2f32d09406515e7f5a36507c9e802f02c85e2",
+    7: "bed16ec4219285d7decb15637f1dd4693eedfb3f8d72858db0acdacdb8605943",
+    8: "08548402ea055065f6b8f7c5f087506df4be66928a6aa2204cf1d5171900dfb4",
+    9: "5fd7709c9b8bf16302109bb89d6c07239b1399ee1dce1ead7c11114d67ded418",
+}
+
 
 def canon(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def assert_golden(*crits):
+    for crit in crits:
+        digest = hashlib.sha256(ARTIFACTS[crit].encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[crit], f"criterion {crit} artifact has sha256 {digest}"
 
 
 # -- builders ---------------------------------------------------------------
@@ -248,7 +270,7 @@ def artifact_c8(workers: int) -> dict[int, str]:
         for yi in y:
             code += (yi + 1) * weight
             weight *= ctx.size
-        stab = [g for g in elements if inst.backend.act(g, code) == code]
+        stab = [g for g in elements if act_by_formula(inst.backend, g, code) == code]
         assert stab == [inst.backend.identity], (p, k, n, tag, m, z)
         entries.append({"field": [p, k, n], "inner": list(gen), "m": m,
                         "z": list(z), "y": list(y)})
@@ -282,6 +304,7 @@ BUILDERS = [artifact_c1, artifact_c2, artifact_c3, artifact_c45,
 def test_criterion_1_example2_golden():
     t0 = time.time()
     ARTIFACTS.update(artifact_c1(workers=1))
+    assert_golden(1)
     doc = json.loads(ARTIFACTS[1])
     assert doc["group_order"] == 1152
     assert tuple(doc["orbit_lengths"]) == GOLDEN_EXAMPLE2
@@ -294,6 +317,7 @@ def test_criterion_1_example2_golden():
 def test_criterion_2_example1_claims():
     t0 = time.time()
     ARTIFACTS.update(artifact_c2(workers=1))
+    assert_golden(2)
     doc = json.loads(ARTIFACTS[2])
     assert doc["faithful"] is True
     assert doc["irreducible"] is True
@@ -307,6 +331,7 @@ def test_criterion_2_example1_claims():
 def test_criterion_3_norm_order_formula():
     t0 = time.time()
     ARTIFACTS.update(artifact_c3(workers=1))
+    assert_golden(3)
     entries = json.loads(ARTIFACTS[3])
     assert len(entries) >= 100
     elapsed = time.time() - t0
@@ -317,6 +342,7 @@ def test_criterion_3_norm_order_formula():
 def test_criterion_4_and_5_criterion_oracle_and_covering():
     t0 = time.time()
     ARTIFACTS.update(artifact_c45(workers=1))
+    assert_golden(4, 5)
     agreement = json.loads(ARTIFACTS[4])
     covering = json.loads(ARTIFACTS[5])
     assert all(e["criterion"] == e["oracle"] for e in agreement)
@@ -331,6 +357,7 @@ def test_criterion_4_and_5_criterion_oracle_and_covering():
 def test_criterion_6_wolf_grid():
     t0 = time.time()
     ARTIFACTS.update(artifact_c6(workers=1))
+    assert_golden(6)
     entries = json.loads(ARTIFACTS[6])
     assert len(entries) >= 40
     assert all(not e["regular"] for e in entries)
@@ -342,6 +369,7 @@ def test_criterion_6_wolf_grid():
 def test_criterion_7_search_regimes():
     t0 = time.time()
     ARTIFACTS.update(artifact_c7(workers=1))
+    assert_golden(7)
     out = json.loads(ARTIFACTS[7])
     assert len(out["odd_odd"]) == 1000
     assert sum(r["is_counterexample"] for r in out["odd_odd"]) == 0
@@ -355,6 +383,7 @@ def test_criterion_7_search_regimes():
 def test_criterion_8_sign_witnesses():
     t0 = time.time()
     ARTIFACTS.update(artifact_c8(workers=1))
+    assert_golden(8)
     entries = json.loads(ARTIFACTS[8])
     assert len(entries) == 50
     elapsed = time.time() - t0
@@ -364,6 +393,7 @@ def test_criterion_8_sign_witnesses():
 def test_criterion_9_power_set_corpus():
     t0 = time.time()
     ARTIFACTS.update(artifact_c9(workers=1))
+    assert_golden(9)
     entries = json.loads(ARTIFACTS[9])
     assert len(entries) == 10
     assert all(e["degree"] <= 15 for e in entries)

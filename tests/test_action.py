@@ -6,11 +6,12 @@ import pytest
 
 from orbitforge import action as A
 from orbitforge import semilinear as sl
+from orbitforge.arith import prime_factors
 from orbitforge.constructions import WreathSpec, build_wreath
 from orbitforge.errors import ElementCapExceeded, NotInGqn, PointCapExceeded
 from orbitforge.field import make_field
 
-from helpers import (irreducible_by_exhaustive_spin, orbit_lengths_by_scalar_bfs,
+from helpers import (act_by_formula, irreducible_by_exhaustive_spin, orbit_lengths_by_scalar_bfs,
                      perm_array_by_matmul)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -213,11 +214,11 @@ def test_report_json_schema_keys():
     assert all(isinstance(k, str) for k in doc["p_regular"])
 
 
-def test_has_p_regular_orbit_vacuous_prime():
+def test_p_regular_keys_are_the_order_primes():
     inst = semilinear_instance(3, 1, 2, [(0, 1)])
     rep = A.enumerate_orbits(inst)
-    assert A.has_p_regular_orbit(rep, 7)  # 7 does not divide 8
-    assert A.has_p_regular_orbit(rep, 2)
+    assert list(rep.p_regular) == prime_factors(rep.group_order) == [2]  # 7 does not divide 8
+    assert rep.p_regular[2]
 
 
 def test_faithful_minus_identity_matrix():
@@ -327,7 +328,7 @@ def test_matrix_perm_array_matches_matmul(case):
     assert perm.dtype == np.int64
     assert np.array_equal(perm, perm_array_by_matmul(p, d, g))
     if backend.point_count <= 343:
-        assert perm.tolist() == [backend.act(g, x) for x in range(backend.point_count)]
+        assert perm.tolist() == [act_by_formula(backend, g, x) for x in range(backend.point_count)]
 
 
 @pytest.mark.parametrize("p, d", [(2, 17), (3, 11)])  # past 2^16 points: several blocks

@@ -114,6 +114,18 @@ def test_prop2_gn16(tmp_path, capsys):
     assert doc["oracle_agrees"] is True
 
 
+def test_prop2_decides_past_the_element_cap(tmp_path, capsys):
+    # GammaL(1, 2^20) has 20,971,500 elements; prop2 decides from the
+    # generators' Schreier record and lists none of them
+    spec = {"action": {"kind": "semilinear"}, "field": {"p": 2, "k": 1, "n": 20},
+            "generators": [{"twist": 1, "scalar": 0}, {"twist": 0, "scalar": 1}]}
+    code, out, _ = run_cli(["prop2", write(tmp_path, "gl.json", spec)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"has_regular_orbit": False, "regular_vector": None,
+                               "failing_prime": 2, "subgroup_order": 20971500,
+                               "oracle_agrees": True}
+
+
 def test_prop2_rejects_matrix_spec(tmp_path, capsys):
     spec = {"action": {"kind": "matrix", "dim": 2}, "field": {"p": 3},
             "generators": [[1, 0, 0, 1]]}

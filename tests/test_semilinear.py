@@ -532,6 +532,7 @@ def test_criterion_matches_enumerate_orbits():
     def check(drawn):
         ctx, gens = drawn
         decision = sl.regular_orbit_criterion(ctx, sl.subgroup_closure(ctx, gens), assume_subgroup=True)
+        assert sl._criterion(ctx, *sl.schreier_kernel(ctx, gens)) == decision  # the record of prop2
         report = A.enumerate_orbits(A.ActionInstance(A.SemilinearAction(ctx), gens))
         assert decision.has_regular_orbit == report.regular_exists
         assert decision.subgroup_order == report.group_order
