@@ -22,7 +22,7 @@ Reports are canonical: each orbit is represented by its least point code,
 orbits are sorted by (length, representative), lengths ascending.
 Stabilizer orders come from |G| / |orbit|, never from explicit stabilizer
 computation, and |G| comes from a semilinear group's Schreier record or
-the other backends' order(generators), never from listing the group.
+chain_order on the other backends, never from listing the group.
 Points move only through perm_array, the images of every point at once.
 """
 
@@ -41,7 +41,7 @@ from .errors import (
     NotInGqn,
     PointCapExceeded,
 )
-from .field import ZERO, FieldContext
+from .field import FieldContext
 from . import field as field_ops
 from . import semilinear as sl
 from .permutation import compose_perm, identity_perm, inverse_perm
@@ -79,8 +79,7 @@ class SemilinearAction:
         return _semilinear_matrix(self.ctx, g)
 
     def point_coordinates(self, code: int) -> tuple[int, ...]:
-        v = ZERO if code == 0 else code - 1
-        return field_ops.coordinates(self.ctx, v)
+        return field_ops.coordinates(self.ctx, code - 1)  # code 0 is ZERO
 
 
 class MatrixAction:
@@ -134,9 +133,6 @@ class MatrixAction:
             out[h * block:(h + 1) * block] = weights @ ((digits + highs[:, h:h + 1]) % p)
         return out
 
-    def order(self, generators) -> int:
-        return chain_order(self, generators)
-
     def matrix_dim(self) -> int:
         return self.dim
 
@@ -187,9 +183,6 @@ class WreathAction:
         return _over_blocks(np.add, [_code_table(ctx, c, ctx.order) * f ** perm[j]
                                      for j, c in enumerate(comps)])
 
-    def order(self, generators) -> int:
-        return chain_order(self, generators)
-
     def matrix_dim(self) -> int:
         return self.m * self.inner.degree
 
@@ -211,10 +204,8 @@ class WreathAction:
         f = self.inner.size
         out = []
         for _ in range(self.m):
-            block = code % f
+            out.extend(field_ops.coordinates(self.inner, code % f - 1))  # block code 0 is ZERO
             code //= f
-            v = ZERO if block == 0 else block - 1
-            out.extend(field_ops.coordinates(self.inner, v))
         return tuple(out)
 
 
@@ -430,21 +421,31 @@ def chain_order(backend, generators) -> int:
     return prod(len(t) for t in trans)
 
 
+@dataclass(frozen=True)
+class WreathSpec:
+    """H wr S: inner semilinear generators on GF(q^n), m blocks, top perms."""
+    inner: FieldContext
+    inner_gens: tuple[sl.SemilinearMap, ...]
+    m: int
+    top_gens: tuple[tuple[int, ...], ...]  # 0-indexed permutations of the blocks
+
+
 class ActionInstance:
     """A finitely generated group with one of the three action backends.
 
-    known_order, when given, is trusted as |G|.
+    known_order, when given, is trusted as |G|; wreath is set only by
+    build_wreath.  The Schreier record, the orbit sweep, |G| and
+    irreducibility are kept here, each computed at most once.
     """
 
     def __init__(self, backend, generators, known_order: int | None = None,
-                 meta: dict | None = None):
+                 wreath: WreathSpec | None = None):
         self.backend = backend
         self.generators = tuple(generators)
         for g in self.generators:
             backend.validate(g)
         self.known_order = known_order
-        self._order = None
-        self.meta = meta or {}
+        self.wreath = wreath
 
     def __repr__(self):
         return (f"ActionInstance({self.backend!r}, {len(self.generators)} generators, "
@@ -454,29 +455,32 @@ class ActionInstance:
     def point_count(self) -> int:
         return self.backend.point_count
 
-    @property
+    @cached_property
     def group_order(self) -> int:
-        """|G|, once: known_order, else the Schreier record or backend.order."""
+        """|G|, once: known_order, else the Schreier record or chain_order."""
         if self.known_order is not None:
             return self.known_order
-        if self._order is None:
-            if isinstance(self.backend, SemilinearAction):
-                self._order = sl.subgroup_order(self.backend.ctx, self.generators, self._schreier)
-            else:
-                self._order = self.backend.order(self.generators)
-        return self._order
+        if isinstance(self.backend, SemilinearAction):
+            return sl.subgroup_order(self.backend.ctx, self.generators, self._schreier)
+        return chain_order(self.backend, self.generators)
 
     @cached_property
     def _schreier(self):
-        """(reps, d) = sl.schreier_kernel(...) of a semilinear group, once; a
-        build_wreath instance's inner group has it in meta["inner_schreier"]."""
-        record = self.meta.get("inner_schreier")
-        return record or sl.schreier_kernel(self.backend.ctx, self.generators)
+        """(reps, d) = sl.schreier_kernel(...) of a semilinear group, or of
+        the inner group of a build_wreath instance, once."""
+        if self.wreath is not None:
+            return sl.schreier_kernel(self.wreath.inner, self.wreath.inner_gens)
+        return sl.schreier_kernel(self.backend.ctx, self.generators)
 
     @cached_property
     def _orbits(self):
         """(reps, sizes) = _orbit_reps(self), kept until enumerate_orbits takes them."""
         return _orbit_reps(self)
+
+    @cached_property
+    def _irreducible(self) -> bool:
+        """_spins_irreducible(self), once: is_irreducible reads it."""
+        return _spins_irreducible(self)
 
 
 # -- orbit enumeration --
@@ -544,8 +548,8 @@ def _orbit_reps(instance: ActionInstance) -> tuple[np.ndarray, np.ndarray]:
 
     Raises PointCapExceeded before building any array when the point count
     is over config.point_cap(), whichever domain is then swept.  Semilinear
-    instances and wreath instances built by build_wreath (marked by
-    meta["wreath_spec"]) sweep a quotient; every other instance sweeps all
+    instances and wreath instances built by build_wreath (those with
+    instance.wreath set) sweep a quotient; every other instance sweeps all
     its points.
     """
     n_points = instance.point_count
@@ -554,9 +558,8 @@ def _orbit_reps(instance: ActionInstance) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(backend, SemilinearAction):
         return _quotient_orbits(*_semilinear_quotient(backend.ctx, instance.generators,
                                                       instance._schreier[1]))
-    spec = instance.meta.get("wreath_spec")
-    if isinstance(backend, WreathAction) and spec is not None:
-        return _quotient_orbits(*_wreath_quotient(spec, instance._schreier[1]))
+    if instance.wreath is not None:
+        return _quotient_orbits(*_wreath_quotient(instance.wreath, instance._schreier[1]))
     labels, _ = _orbit_labels(instance)
     reps = np.flatnonzero(labels == np.arange(n_points))
     return reps, np.bincount(labels)[reps]
@@ -590,7 +593,7 @@ def _semilinear_quotient(ctx: FieldContext, generators, d: int):
     modulo a normal subgroup).  d = m when K = 1, and then the quotient is
     the point set.
     """
-    weights = np.full(d + 1, max(ctx.order, 1) // d, dtype=np.int64)
+    weights = np.full(d + 1, ctx.order // d, dtype=np.int64)
     weights[0] = 1
     return [_code_table(ctx, g, d) for g in generators], weights, np.arange(d + 1)
 
@@ -656,30 +659,34 @@ def _sweep(n_points: int, perms) -> tuple[np.ndarray, int]:
 
 # -- irreducibility --
 
-def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> bool:
+def is_irreducible(instance: ActionInstance) -> bool:
     """No proper nonzero GF(p)-subspace is invariant under all generators.
 
-    Decided by spinning: spin(v), the smallest invariant subspace holding
-    v, must be the whole space for each v != 0.  spin(g.v) = g.spin(v), so
-    one spin per orbit representative decides; reps, when given, are an
-    orbit report's, otherwise _orbit_reps gives them.  Semilinear groups
-    spin fewer (_scalar_class_reps).  H wr S from build_wreath is
-    irreducible iff H = <inner_gens> is, and H != 1 or m = 1 (Clifford;
-    Manz-Wolf 1993): then its transitive top permutes m non-isomorphic
-    irreducible summands; else W^m, W H-invariant, or the diagonal is
-    invariant.  Every path checks the point cap first, as _orbit_reps does.
+    Decided once per instance, by spinning: spin(v), the smallest invariant
+    subspace holding v, must be the whole space for each v != 0.
+    spin(g.v) = g.spin(v), so one spin per representative of the
+    instance's own sweep (instance._orbits) decides; semilinear groups spin
+    fewer (_scalar_class_reps).  H wr S from build_wreath is irreducible
+    iff H = <inner_gens> is, and H != 1 or m = 1 (Clifford; Manz-Wolf
+    1993): then its transitive top permutes m non-isomorphic irreducible
+    summands; else W^m, W H-invariant, or the diagonal is invariant.
+    Every path checks the point cap first, as _orbit_reps does.
     """
-    backend, gens = instance.backend, instance.generators
-    _check_point_cap(instance.point_count)
-    spec = instance.meta.get("wreath_spec")
-    if isinstance(backend, WreathAction) and spec is not None:
+    return instance._irreducible
+
+
+def _spins_irreducible(instance: ActionInstance) -> bool:
+    """The spins behind is_irreducible; ActionInstance._irreducible keeps the result."""
+    backend, gens, spec = instance.backend, instance.generators, instance.wreath
+    if spec is None:
+        reps = instance._orbits[0].tolist()
+    else:
+        _check_point_cap(instance.point_count)
         if spec.m > 1 and all(g == sl.IDENTITY for g in spec.inner_gens):
             return False
         backend, gens, reps = SemilinearAction(spec.inner), spec.inner_gens, None
     if isinstance(backend, SemilinearAction):
         reps = _scalar_class_reps(backend.ctx, gens, instance._schreier, reps)
-    elif reps is None:
-        reps = _orbit_reps(instance)[0].tolist()
     p, dim = backend.characteristic, backend.matrix_dim()
     mats = [[mat[i * dim:(i + 1) * dim] for i in range(dim)]
             for mat in map(backend.matrix_of, gens)]
@@ -687,7 +694,7 @@ def is_irreducible(instance: ActionInstance, reps: list[int] | None = None) -> b
                            for c in sorted(reps) if c)  # the zero vector is code 0 everywhere
 
 
-def _scalar_class_reps(ctx: FieldContext, generators, record, reps=None) -> set[int]:
+def _scalar_class_reps(ctx: FieldContext, generators, record, reps) -> set[int]:
     """Point codes whose spins decide if H = <generators> is irreducible.
 
     Invariant subspaces are modules for F = GF(p)[K] = GF(p^f), K the scalar
@@ -696,11 +703,12 @@ def _scalar_class_reps(ctx: FieldContext, generators, record, reps=None) -> set[
     mod m), has a^(q^t - 1) in F* for every twist t of H, so a maps
     invariant subspaces to invariant subspaces and spin(a.v) has the
     dimension of spin(v).  Code r+1 is w^r, so one code per class mod s of
-    the orbit representatives reps decides; without reps, the H-orbits on
-    Z_s, which are the <H, C>-orbits, are swept.  record is H's (reps, d).
+    the orbit representatives reps decides; with reps None (a build_wreath
+    inner group), the H-orbits on Z_s, the <H, C>-orbits, are swept.
+    record is H's (reps, d).
     """
     twists, d = record
-    m = max(ctx.order, 1)
+    m = ctx.order
     f = next(f for f in range(1, ctx.degree + 1) if (ctx.p ** f - 1) % (m // d) == 0)
     c0 = m // (ctx.p ** f - 1)
     s = c0 // gcd(c0, (pow(ctx.q, gcd(ctx.n, *twists), m) - 1) % m)
@@ -785,11 +793,12 @@ class ImplicationReport:
 
 
 def orbit_implication_report(instance: ActionInstance, workers: int = 1) -> ImplicationReport:
-    """The report of one orbit sweep: irreducibility spins the sweep's orbit
-    representatives, so the points are swept once.  workers has no effect."""
+    """The report of one orbit sweep: irreducibility is decided (or read) on
+    the sweep's representatives before enumerate_orbits takes the sweep, so
+    the points are swept once.  workers has no effect."""
     del workers
+    irreducible = is_irreducible(instance)
     report = enumerate_orbits(instance)
-    irreducible = is_irreducible(instance, reps=[rep for _, rep, _ in report.orbits])
     primes = tuple(prime_factors(report.group_order))
     all_p = all(report.p_regular[p] for p in primes)
     return ImplicationReport(

@@ -16,6 +16,7 @@ from .action import (
     ActionInstance,
     MatrixAction,
     WreathAction,
+    WreathSpec,
     closure,
     enumerate_orbits,
     mat_identity,
@@ -54,21 +55,13 @@ __all__ = [
 
 # -- wreath products --
 
-@dataclass(frozen=True)
-class WreathSpec:
-    """H wr S: inner semilinear generators on GF(q^n), m blocks, top perms."""
-    inner: FieldContext
-    inner_gens: tuple[sl.SemilinearMap, ...]
-    m: int
-    top_gens: tuple[tuple[int, ...], ...]  # 0-indexed permutations of the blocks
-
-
 def build_wreath(spec: WreathSpec) -> ActionInstance:
     """The full wreath product acting on m blocks of GF(q^n).
 
     Generators are the inner generators planted in block 1 plus the pure
     top permutations; with a transitive top these generate all of H wr S,
-    so the group order is |H|^m * |S|.
+    so the group order is |H|^m * |S|, |H| from the instance's Schreier
+    record of H.  The instance keeps spec as its wreath field.
     """
     ctx = spec.inner
     for g in spec.inner_gens:
@@ -79,16 +72,13 @@ def build_wreath(spec: WreathSpec) -> ActionInstance:
     top = PermGroup(spec.m, spec.top_gens)
     if not is_transitive(top):
         raise IntransitiveTop(f"top generators {spec.top_gens} are not transitive on {spec.m} blocks")
-    record = sl.schreier_kernel(ctx, spec.inner_gens)
-    inner_order = sl.subgroup_order(ctx, spec.inner_gens, record)
-    order = inner_order ** spec.m * top.order
-    backend = WreathAction(ctx, spec.m)
     ident = identity_perm(spec.m)
     gens = [(tuple([g] + [sl.IDENTITY] * (spec.m - 1)), ident) for g in spec.inner_gens]
     gens += [(tuple([sl.IDENTITY] * spec.m), tuple(p)) for p in top.generators]
-    return ActionInstance(backend, gens, known_order=order,
-                          meta={"wreath_spec": spec, "inner_order": inner_order,
-                                "inner_schreier": record})
+    instance = ActionInstance(WreathAction(ctx, spec.m), gens, wreath=spec)
+    inner_order = sl.subgroup_order(ctx, spec.inner_gens, instance._schreier)
+    instance.known_order = inner_order ** spec.m * top.order
+    return instance
 
 
 def build_example1() -> ActionInstance:
@@ -101,6 +91,8 @@ def build_example1() -> ActionInstance:
 # -- the central product in GL(4,7) --
 
 _EXAMPLE2_CACHE: list = []
+# the generators a, b, n3, n2 of H <= GL(2, 7) in build_example2, row-major
+EXAMPLE2_GENERATORS = ((0, 6, 1, 0), (2, 3, 3, 5), (0, 2, 3, 1), (1, 1, 1, 2))
 
 
 def build_example2() -> ActionInstance:
@@ -117,7 +109,7 @@ def build_example2() -> ActionInstance:
     if _EXAMPLE2_CACHE:
         return _EXAMPLE2_CACHE[0]
     p, dim = 7, 2
-    h_gens = a, b, n3, n2 = (0, 6, 1, 0), (2, 3, 3, 5), (0, 2, 3, 1), (1, 1, 1, 2)
+    h_gens = a, b, n3, n2 = EXAMPLE2_GENERATORS
     backend2 = MatrixAction(p, dim)
     q_group = closure(backend2, [a, b])
     if len(q_group) != 8 or not _is_quaternion8(q_group, backend2):
@@ -139,7 +131,7 @@ def build_example2() -> ActionInstance:
     order = len(closure(backend4, gens))
     if order != 1152:
         raise ConstructionFailed(f"central product has order {order}, expected 1152")
-    instance = ActionInstance(backend4, gens, known_order=1152, meta={"inner_generators": h_gens})
+    instance = ActionInstance(backend4, gens, known_order=1152)
     _EXAMPLE2_CACHE.append(instance)
     return instance
 
@@ -293,7 +285,7 @@ def orbit_sign_assignment(instance: ActionInstance) -> SignAssignment:
     ctx = spec.inner
     if ctx.p == 2:
         raise EvenCharacteristic("sign pairing needs odd characteristic")
-    inner_order = instance.meta["inner_order"]
+    inner_order = sl.subgroup_order(ctx, spec.inner_gens, instance._schreier)
     if inner_order % 2 == 0:
         raise EvenOrder(f"inner group order {inner_order} is even")
     reps = inner_orbit_map(ctx, spec.inner_gens)
@@ -310,10 +302,9 @@ def orbit_sign_assignment(instance: ActionInstance) -> SignAssignment:
 
 
 def _wreath_spec(instance: ActionInstance) -> WreathSpec:
-    spec = instance.meta.get("wreath_spec")
-    if not isinstance(instance.backend, WreathAction) or spec is None:
+    if instance.wreath is None:
         raise UnsupportedBackend("sign machinery needs an instance built by build_wreath")
-    return spec
+    return instance.wreath
 
 
 def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
@@ -329,7 +320,7 @@ def sign_pairing_witness(instance: ActionInstance, z: tuple[int, ...],
     spec = _wreath_spec(instance)
     ctx = spec.inner
     assignment = orbit_sign_assignment(instance)  # validates parity too
-    twist_reps, d = instance.meta["inner_schreier"]
+    twist_reps, d = instance._schreier
     fixed = sl.stabilized_residues(ctx, twist_reps, d)
     top = PermGroup(spec.m, spec.top_gens)
     if top.order % 2 == 0:

@@ -178,8 +178,7 @@ class FieldContext:
         self.poly = poly
         self.exp_table = exp_table
         self.log_table = log_table
-        m = max(self.order, 1)
-        self.pow_q = tuple(pow(self.q, t, m) for t in range(n))
+        self.pow_q = tuple(pow(self.q, t, self.order) for t in range(n))
         self.minus_one = 0 if p == 2 else self.order // 2
 
     def __repr__(self):
@@ -202,15 +201,15 @@ class FieldContext:
         yield from range(self.order)
 
 
-def check_field_args(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> None:
-    """Raise unless make_field(p, k, n, size_cap) may build GF(p^(k*n)).
+def check_field_args(p: int, k: int, n: int) -> None:
+    """Raise unless make_field(p, k, n) may build GF(p^(k*n)) under DEFAULT_FIELD_SIZE_CAP.
 
     Bounded work for any input: p over the cap fails before the primality
     test, and the exponent is compared before p ** (k*n) is built.
     """
     if not isinstance(p, int):
         raise NonPrime(f"p must be prime, got {p}")
-    cap = min(size_cap, 2 ** 31 - 1)  # int32 tables cannot index a larger field
+    cap = min(DEFAULT_FIELD_SIZE_CAP, 2 ** 31 - 1)  # int32 tables cannot index a larger field
     if p > cap:
         raise SizeCapExceeded(f"p = {p} exceeds the size cap {cap}")
     if not is_prime(p):
@@ -221,9 +220,9 @@ def check_field_args(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_
         raise SizeCapExceeded(f"{p}^{k * n} exceeds the size cap {cap}")
 
 
-def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldContext:
+def make_field(p: int, k: int, n: int) -> FieldContext:
     """Context for GF(p^(k*n)) with distinguished subfield GF(q), q = p^k."""
-    check_field_args(p, k, n, size_cap)
+    check_field_args(p, k, n)
     ctx = _contexts.pop((p, k, n), None)
     if ctx is None:
         tables = next(((c.poly, c.exp_table, c.log_table) for c in _contexts.values()
@@ -241,13 +240,13 @@ def make_field(p: int, k: int, n: int, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -
 def mul(ctx: FieldContext, x: FieldElement, y: FieldElement) -> FieldElement:
     if x == ZERO or y == ZERO:
         return ZERO
-    return (x + y) % ctx.order if ctx.order > 1 else 0
+    return (x + y) % ctx.order
 
 
 def inv(ctx: FieldContext, x: FieldElement) -> FieldElement:
     if x == ZERO:
         raise ZeroInput("zero has no inverse")
-    return (-x) % ctx.order if ctx.order > 1 else 0
+    return (-x) % ctx.order
 
 
 def div(ctx: FieldContext, x: FieldElement, y: FieldElement) -> FieldElement:
@@ -259,7 +258,7 @@ def power(ctx: FieldContext, x: FieldElement, e: int) -> FieldElement:
         if e <= 0:
             raise ZeroInput("0**e undefined for e <= 0")
         return ZERO
-    return (x * e) % ctx.order if ctx.order > 1 else 0
+    return (x * e) % ctx.order
 
 
 def neg(ctx: FieldContext, x: FieldElement) -> FieldElement:
@@ -293,14 +292,14 @@ def frobenius(ctx: FieldContext, x: FieldElement, t: int = 1) -> FieldElement:
     """x -> x^(q^t), the t-th power of the Frobenius over GF(q)."""
     if x == ZERO:
         return ZERO
-    return (x * ctx.pow_q[t % ctx.n]) % ctx.order if ctx.order > 1 else 0
+    return (x * ctx.pow_q[t % ctx.n]) % ctx.order
 
 
 def from_integer(ctx: FieldContext, packed: int) -> FieldElement:
     """Element from its packed base-p coordinate form (0 -> ZERO)."""
     if not 0 <= packed < ctx.size:
         raise ValueError(f"packed value {packed} out of range for {ctx!r}")
-    return ZERO if packed == 0 else ctx.log_table.item(packed)
+    return ctx.log_table.item(packed)  # log_table[0] is ZERO
 
 
 def to_integer(ctx: FieldContext, x: FieldElement) -> int:
@@ -323,7 +322,7 @@ def subfield_step(ctx: FieldContext, j: int) -> int:
     """Exponent step of GF(q^j)^x inside GF(q^n)^x; requires j | n."""
     if ctx.n % j:
         raise SNotDividingN(f"j = {j} must divide n = {ctx.n}")
-    return ctx.order // (ctx.q ** j - 1) if ctx.order > 1 else 1
+    return ctx.order // (ctx.q ** j - 1)
 
 
 def in_subfield(ctx: FieldContext, x: FieldElement, j: int) -> bool:
@@ -341,9 +340,9 @@ def norm_map(ctx: FieldContext, s: int, y: FieldElement) -> FieldElement:
     if y == ZERO:
         raise ZeroInput("norm of zero is undefined")
     _check_s(ctx, s)
-    v = sum(ctx.pow_q[(ctx.n // s) * j % ctx.n] for j in range(s)) if ctx.order > 1 else 0
+    v = sum(ctx.pow_q[(ctx.n // s) * j % ctx.n] for j in range(s))
     # v = 1 + q^(n/s) + ... + q^((n/s)(s-1)) reduced mod q^n - 1
-    result = (y * v) % ctx.order if ctx.order > 1 else 0
+    result = (y * v) % ctx.order
     if frobenius(ctx, result, ctx.n // s) != result:
         raise ConstructionFailed(f"norm of {y} is not fixed by the Frobenius of GF(q^(n/s))")
     return result

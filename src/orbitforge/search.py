@@ -134,7 +134,7 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
     if kind == "semilinear":
         ctx = make_field(fld["p"], fld["k"], fld["n"])
         backend = SemilinearAction(ctx)
-        gens = [(rng.randrange(ctx.n), rng.randrange(max(ctx.order, 1)))
+        gens = [(rng.randrange(ctx.n), rng.randrange(ctx.order))
                 for _ in range(count)]
         if force_odd:
             gens = [_odd_part_power(backend.mul, g, element_order(ctx, g)) for g in gens]
@@ -158,7 +158,7 @@ def _draw_instance(rng, template, gen_count, force_odd: bool) -> ActionInstance:
     m = template["m"]
     inner = []
     for _ in range(count):
-        g = (rng.randrange(ctx.n), rng.randrange(max(ctx.order, 1)))
+        g = (rng.randrange(ctx.n), rng.randrange(ctx.order))
         if force_odd:
             g = _odd_part_power(lambda a, b: compose(ctx, a, b), g, element_order(ctx, g))
         inner.append(g)
@@ -178,14 +178,13 @@ def _kept_record(cfg: SearchConfig, instance: ActionInstance, index: int,
     first; a matrix group whose |G| needs chain_order is then swept once,
     and rejected if reducible or, under odd_order, if an orbit length (a
     divisor of |G|) is even.  Only then come |G|, its parity and the
-    orbit_implication_report, which reuses the sweep."""
+    orbit_implication_report, which reuses the sweep and the instance's
+    irreducibility decision."""
     if cfg.odd_characteristic is not None:
         if (instance.backend.characteristic % 2 == 1) != cfg.odd_characteristic:
             return None
     if isinstance(instance.backend, MatrixAction) and instance.known_order is None:
-        reps, sizes = instance._orbits
-        if (cfg.odd_order and (sizes % 2 == 0).any()
-                or not is_irreducible(instance, reps=reps.tolist())):
+        if cfg.odd_order and (instance._orbits[1] % 2 == 0).any() or not is_irreducible(instance):
             return None
     if cfg.odd_order is not None:
         if (instance.group_order % 2 == 1) != cfg.odd_order:

@@ -38,7 +38,7 @@ IDENTITY: SemilinearMap = (0, 0)
 
 def validate_map(ctx: FieldContext, f: SemilinearMap) -> None:
     t, e = f
-    if not (0 <= t < ctx.n and 0 <= e < max(ctx.order, 1)):
+    if not (0 <= t < ctx.n and 0 <= e < ctx.order):
         raise NotInGqn(f"map {f} is not a valid element over {ctx!r}")
 
 
@@ -46,19 +46,13 @@ def compose(ctx: FieldContext, f: SemilinearMap, g: SemilinearMap) -> Semilinear
     """(f o g)(v) = f(g(v)); the law is (t1+t2, a1 * a2^(q^t1))."""
     t1, e1 = f
     t2, e2 = g
-    m = ctx.order
-    if m <= 1:
-        return ((t1 + t2) % ctx.n, 0)
-    return ((t1 + t2) % ctx.n, (e1 + e2 * ctx.pow_q[t1]) % m)
+    return ((t1 + t2) % ctx.n, (e1 + e2 * ctx.pow_q[t1]) % ctx.order)
 
 
 def inverse(ctx: FieldContext, f: SemilinearMap) -> SemilinearMap:
     t, e = f
     ti = (ctx.n - t) % ctx.n
-    m = ctx.order
-    if m <= 1:
-        return (ti, 0)
-    return (ti, (-e * ctx.pow_q[ti]) % m)
+    return (ti, (-e * ctx.pow_q[ti]) % ctx.order)
 
 
 def apply_map(ctx: FieldContext, f: SemilinearMap, v: int) -> int:
@@ -66,8 +60,7 @@ def apply_map(ctx: FieldContext, f: SemilinearMap, v: int) -> int:
     if v == ZERO:
         return ZERO
     t, e = f
-    m = ctx.order
-    return (v * ctx.pow_q[t] + e) % m if m > 1 else 0
+    return (v * ctx.pow_q[t] + e) % ctx.order
 
 
 def element_order(ctx: FieldContext, f: SemilinearMap) -> int:
@@ -82,21 +75,18 @@ def element_order(ctx: FieldContext, f: SemilinearMap) -> int:
 def conjugate_by_scalar(ctx: FieldContext, z: int, f: SemilinearMap) -> SemilinearMap:
     """z f z^{-1} where z is a nonzero field element (exponent form)."""
     t, e = f
-    m = ctx.order
-    if m <= 1:
-        return f
     # scalar picks up z^(1 - q^t)
-    return (t, (e + z * (1 - ctx.pow_q[t])) % m)
+    return (t, (e + z * (1 - ctx.pow_q[t])) % ctx.order)
 
 
 def scalar_maps(ctx: FieldContext) -> tuple[SemilinearMap, ...]:
     """The multiplication subgroup (twist 0), of order q^n - 1."""
-    return tuple((0, e) for e in range(max(ctx.order, 1)))
+    return tuple((0, e) for e in range(ctx.order))
 
 
 def full_group(ctx: FieldContext) -> tuple[SemilinearMap, ...]:
     """All of the semilinear group, order n * (q^n - 1)."""
-    return tuple((t, e) for t in range(ctx.n) for e in range(max(ctx.order, 1)))
+    return tuple((t, e) for t in range(ctx.n) for e in range(ctx.order))
 
 
 def subgroup_closure(ctx: FieldContext, generators, cap: int | None = None) -> tuple[SemilinearMap, ...]:
@@ -113,7 +103,7 @@ def subgroup_closure(ctx: FieldContext, generators, cap: int | None = None) -> t
     for g in gens:
         validate_map(ctx, g)
     reps, d = schreier_kernel(ctx, gens)
-    m = max(ctx.order, 1)
+    m = ctx.order
     if len(reps) * (m // d) > cap:
         raise ElementCapExceeded(f"closure exceeded the element cap {cap}")
     return tuple((t, e) for t in sorted(reps) for e in range(reps[t][1] % d, m, d))
@@ -129,7 +119,7 @@ def schreier_kernel(ctx: FieldContext, generators) -> tuple[dict[int, Semilinear
     those u and the generators g.  K is normal in H, and H is the union of
     the cosets u_t K (Seress 2003, ch. 4).
     """
-    m = max(ctx.order, 1)
+    m = ctx.order
     by_twist = {0: IDENTITY}
     walk = [IDENTITY]
     exponents = []
@@ -148,7 +138,7 @@ def subgroup_order(ctx: FieldContext, generators, record=None) -> int:
     """|<generators>| = |T| * |K| from the Schreier kernel, without listing
     the subgroup: |K| = m / d with (reps, d) = record or schreier_kernel(...)."""
     reps, d = record or schreier_kernel(ctx, generators)
-    return len(reps) * (max(ctx.order, 1) // d)
+    return len(reps) * (ctx.order // d)
 
 
 def stabilized_residues(ctx: FieldContext, reps: dict[int, SemilinearMap], d: int) -> bytearray:
@@ -178,7 +168,7 @@ def _record(ctx: FieldContext, elems) -> tuple[dict[int, SemilinearMap], int]:
     reps: dict[int, SemilinearMap] = {}
     for f in elems:
         reps.setdefault(f[0], f)
-    m = max(ctx.order, 1)
+    m = ctx.order
     d = m * len(reps) // len(elems)
     if d < 1 or m % d or len(reps) * (m // d) != len(elems):
         raise ConstructionFailed(f"{len(elems)} maps over {len(reps)} twists do not have "
@@ -189,7 +179,7 @@ def _record(ctx: FieldContext, elems) -> tuple[dict[int, SemilinearMap], int]:
 def _smallest_regular_point(ctx: FieldContext, reps, d: int) -> int | None:
     """Smallest point code with trivial stabilizer, read off the stabilized
     residues: 0 for the trivial group, else the first unmarked r as r + 1."""
-    if len(reps) == 1 and d == max(ctx.order, 1):
+    if len(reps) == 1 and d == ctx.order:
         return 0
     r = stabilized_residues(ctx, reps, d).find(0)
     return r + 1 if r >= 0 else None
@@ -204,7 +194,7 @@ def _outside_primes(ctx: FieldContext, reps, d: int) -> tuple[int, ...]:
     for t, (_, e) in reps.items():
         s = ctx.n // gcd(t, ctx.n)
         c = sum(ctx.pow_q[t * i % ctx.n] for i in range(s))
-        if is_prime(s) and solve_linear_congruence(d * c, -e * c, max(ctx.order, 1)) is not None:
+        if is_prime(s) and solve_linear_congruence(d * c, -e * c, ctx.order) is not None:
             primes.add(s)
     return tuple(sorted(primes))
 
@@ -236,13 +226,6 @@ class NormOneSubgroup:
     order: int
     generator: int
     elements: tuple[int, ...]
-
-    def __contains__(self, x: int) -> bool:
-        if x == ZERO:
-            return False
-        if self.order == 1:
-            return x == 0
-        return x % self.elements[1] == 0
 
 
 def norm_one_subgroup(ctx: FieldContext, s: int) -> NormOneSubgroup:
@@ -400,8 +383,6 @@ def _find_pure(ctx: FieldContext, elems, s: int) -> SemilinearMap | None:
 
 def _pure_making_conjugator(ctx: FieldContext, elems, s: int, fixed_deg: int) -> int | None:
     """Scalar z in GF(q^fixed_deg) conjugating some order-s element pure."""
-    if ctx.order <= 1:
-        return None
     step = ctx.order // (ctx.q ** fixed_deg - 1)
     for t, e in sorted(elems):
         if t == 0 or element_order(ctx, (t, e)) != s:
@@ -416,7 +397,7 @@ def _pure_making_conjugator(ctx: FieldContext, elems, s: int, fixed_deg: int) ->
 
 
 def _standardize_fallback(ctx: FieldContext, elems, primes) -> Standardization:
-    for z in range(max(ctx.order, 1)):
+    for z in range(ctx.order):
         work = tuple(sorted(conjugate_by_scalar(ctx, z, f) for f in elems))
         secured = {}
         for s in primes:
@@ -487,7 +468,7 @@ def _criterion(ctx: FieldContext, reps, d: int) -> RegularOrbitDecision:
         raise ConstructionFailed(f"failing prime {failing} and smallest regular point "
                                  f"{witness} contradict each other")
     return RegularOrbitDecision(failing is None, witness, failing,
-                                len(reps) * (max(ctx.order, 1) // d))
+                                len(reps) * (ctx.order // d))
 
 
 @dataclass(frozen=True)
@@ -517,7 +498,7 @@ def covering_prime_witness(ctx: FieldContext, maps, assume_subgroup: bool = Fals
         of_order_s = [f for f in elems if orders[f] == s]
         fixers = []
         for code in range(ctx.size):
-            v = ZERO if code == 0 else code - 1
+            v = code - 1  # code 0 is ZERO
             fixer = next((f for f in of_order_s if apply_map(ctx, f, v) == v), None)
             if fixer is None:
                 break

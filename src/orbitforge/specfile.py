@@ -84,7 +84,7 @@ def _semilinear_gen(ctx, g):
     t, e = _int(g["twist"], "twist"), _int(g["scalar"], "scalar")
     if not 0 <= t < ctx.n:
         raise SchemaError(f"twist {t} out of range for n = {ctx.n}")
-    if not 0 <= e < max(ctx.order, 1):
+    if not 0 <= e < ctx.order:
         raise SchemaError(f"scalar exponent {e} out of range (nonzero scalars only)")
     return (t, e)
 
@@ -152,7 +152,7 @@ def instance_to_spec(instance: ActionInstance) -> dict:
             "generators": [list(g) for g in instance.generators],
         }
     if isinstance(backend, WreathAction):
-        spec = instance.meta.get("wreath_spec")
+        spec = instance.wreath
         if spec is None:
             raise SchemaError("wreath instance lacks its construction data; cannot serialize")
         ctx = spec.inner

@@ -72,7 +72,8 @@ def field_tables_by_scalar_loop(poly, p):
                 for ci, wi in nz:
                     digit = (cur // wi) % p
                     cur += (((digit - lead * ci) % p) - digit) * wi
-    assert cur == 1, "primitive element order mismatch"
+    if cur != 1:
+        raise AssertionError("primitive element order mismatch")
     return tuple(exp), tuple(log)
 
 
@@ -269,7 +270,8 @@ def criterion_by_standardizing(ctx, elems):
         reps.setdefault(f[0], f)
     d = max(ctx.order, 1) * len(reps) // len(elems)
     r = sl.stabilized_residues(ctx, reps, d).find(0)
-    assert r >= 0, "the norm-one test affirmed a regular orbit but none was found"
+    if r < 0:
+        raise AssertionError("the norm-one test affirmed a regular orbit but none was found")
     return sl.RegularOrbitDecision(True, r + 1, None, len(elems))
 
 

@@ -89,7 +89,8 @@ def artifact_c3(workers: int) -> dict[int, str]:
                 for s in prime_factors(n):
                     n_sub = sl.norm_one_subgroup(ctx, s)
                     formula = (ctx.q ** n - 1) // (ctx.q ** (n // s) - 1)
-                    assert n_sub.order == formula == len(n_sub.elements), (p, k, n, s)
+                    if not n_sub.order == formula == len(n_sub.elements):
+                        raise AssertionError((p, k, n, s))
                     entries.append({"p": p, "k": k, "n": n, "s": s, "order": formula})
                 n += 1
             k += 1
@@ -264,14 +265,16 @@ def artifact_c8(workers: int) -> dict[int, str]:
         y = C.sign_pairing_witness(inst, tuple(z), partition)
         # independent check: scan the whole group for stabilizing elements
         elements = A.closure(inst.backend, inst.generators)
-        assert len(elements) == inst.group_order
+        if len(elements) != inst.group_order:
+            raise AssertionError((p, k, n, tag, m, len(elements), inst.group_order))
         code = 0
         weight = 1
         for yi in y:
             code += (yi + 1) * weight
             weight *= ctx.size
         stab = [g for g in elements if act_by_formula(inst.backend, g, code) == code]
-        assert stab == [inst.backend.identity], (p, k, n, tag, m, z)
+        if stab != [inst.backend.identity]:
+            raise AssertionError((p, k, n, tag, m, z))
         entries.append({"field": [p, k, n], "inner": list(gen), "m": m,
                         "z": list(z), "y": list(y)})
     return {8: canon(entries)}
@@ -284,12 +287,15 @@ def artifact_c9(workers: int) -> dict[int, str]:
                ("wreath", P.cyclic_wreath(3, 5))]
     entries = []
     for kind, group in corpus:
-        assert group.order % 2 == 1 and P.is_transitive(group)
+        if not (group.order % 2 == 1 and P.is_transitive(group)):
+            raise AssertionError((kind, group.degree))
         witness = P.power_set_regular_orbit(group)
-        assert witness is not None, (kind, group.degree)
+        if witness is None:
+            raise AssertionError((kind, group.degree))
         mask = P.points_to_mask(witness)
         stabilizer = [g for g in group.elements if P.subset_image(g, mask) == mask]
-        assert stabilizer == [P.identity_perm(group.degree)]
+        if stabilizer != [P.identity_perm(group.degree)]:
+            raise AssertionError((kind, group.degree, witness))
         entries.append({"kind": kind, "degree": group.degree, "order": group.order,
                         "witness": list(witness)})
     return {9: canon(entries)}

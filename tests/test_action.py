@@ -54,7 +54,7 @@ def test_point_cap(monkeypatch):
 
 
 def test_point_cap_applies_to_every_sweep(monkeypatch):
-    # is_irreducible without representatives sweeps the points itself
+    # is_irreducible sweeps the points itself
     monkeypatch.setenv("ORBITFORGE_POINT_CAP", "50")
     inst = semilinear_instance(3, 1, 4, [(0, 1)])
     with pytest.raises(PointCapExceeded):

@@ -110,8 +110,7 @@ def test_example2_golden():
 
 
 def test_example2_kronecker_commutes():
-    inst = C.build_example2()
-    h_gens = inst.meta["inner_generators"]
+    h_gens = C.EXAMPLE2_GENERATORS
     ident = A.mat_identity(2)
     for h1 in h_gens:
         for h2 in h_gens:
@@ -123,8 +122,7 @@ def test_example2_kronecker_commutes():
 
 
 def test_example2_inner_group_structure():
-    inst = C.build_example2()
-    h_gens = inst.meta["inner_generators"]
+    h_gens = C.EXAMPLE2_GENERATORS
     backend = A.MatrixAction(7, 2)
     h_group = A.closure(backend, h_gens)
     assert len(h_group) == 48
@@ -136,7 +134,7 @@ def test_example2_inner_group_structure():
 
 def test_example2_generators_are_the_normalizer_scan_result():
     from helpers import example2_generators_by_scan
-    assert C.build_example2().meta["inner_generators"] == example2_generators_by_scan()
+    assert C.EXAMPLE2_GENERATORS == example2_generators_by_scan()
 
 
 def test_wolf_family_smallest():

@@ -249,8 +249,9 @@ def test_tables_are_read_only_int32():
 def test_int32_size_limit_ignores_larger_cap(monkeypatch):
     builds = []
     monkeypatch.setattr(F, "_field_tables", lambda *args: builds.append(args))
+    monkeypatch.setattr(F, "DEFAULT_FIELD_SIZE_CAP", 2 ** 40)
     with pytest.raises(SizeCapExceeded):
-        make_field(2, 1, 31, size_cap=2 ** 40)
+        make_field(2, 1, 31)
     assert builds == []
 
 

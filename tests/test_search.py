@@ -215,6 +215,34 @@ def test_each_sample_builds_one_schreier_record(monkeypatch):
     assert max(calls) == 1
 
 
+def test_each_kept_matrix_sample_decides_irreducibility_once(monkeypatch):
+    # the sweep pre-check in _kept_record and the orbit report share one
+    # decision: one spin per nonzero orbit representative of a kept sample
+    spins, kept = [], []  # spins per drawn sample; (spins, nonzero orbits) per kept matrix one
+    keep, spin = search._kept_record, A._spin_rank
+
+    def keeping(cfg, instance, *args):
+        spins.append(0)
+        record = keep(cfg, instance, *args)
+        if record is not None and instance.backend.kind == "matrix":
+            kept.append((spins[-1], len(record["orbit_lengths"]) - 1))
+        return record
+
+    def spinning(*args):
+        spins[-1] += 1
+        return spin(*args)
+
+    monkeypatch.setattr(search, "_kept_record", keeping)
+    monkeypatch.setattr(A, "_spin_rank", spinning)
+    cfg = SearchConfig.from_dict({"samples": 12, "seed": 1, "templates": [
+        {"kind": "matrix", "field": {"p": 7}, "dim": 2},
+        {"kind": "matrix", "field": {"p": 3}, "dim": 3},
+        {"kind": "semilinear", "field": {"p": 5, "k": 1, "n": 2}}]})
+    records = list(iter_search(cfg, log=io.StringIO()))
+    assert len(records) == 12 and len(kept) >= 4
+    assert all(count == nonzero for count, nonzero in kept)
+
+
 def test_point_cap_skips_samples_and_never_stops_the_search(monkeypatch):
     monkeypatch.setenv("ORBITFORGE_POINT_CAP", "50")
     cfg = SearchConfig.from_dict({
@@ -288,7 +316,7 @@ def test_odd_parts_match_repeated_multiplication(template):
         except IntransitiveTop:  # a drawn top, or its odd part, need not be transitive
             continue
         if template["kind"] == "wreath":
-            spec, odd_spec = plain.meta["wreath_spec"], odd.meta["wreath_spec"]
+            spec, odd_spec = plain.wreath, odd.wreath
             inner = tuple(odd_part_by_powers(lambda a, b: sl.compose(spec.inner, a, b),
                                              sl.IDENTITY, g) for g in spec.inner_gens)
             tops = tuple(odd_part_by_powers(compose_perm, tuple(range(spec.m)), perm)
